@@ -28,6 +28,7 @@ from .pbf import (
 )
 from .reduce_general import ReductionProblem, nearest_quadratic, overestimate
 from .reduce_quartic import (
+    InvariantError,
     NotRepresentable,
     QuarticFunction,
     generator_catalog,
@@ -267,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, NotRepresentable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
-    except (lpsolver.LpInternalError, AssertionError) as exc:
+    except (lpsolver.LpInternalError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

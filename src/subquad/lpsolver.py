@@ -16,6 +16,14 @@ Free variables are split into differences of two non-negative columns;
 non-zero lower bounds are shifted away.  Infeasibility and unboundedness
 are reported as statuses, never exceptions.  Every optimal solution is
 re-substituted into the original constraints before it is returned.
+
+Each integer row is built straight from its constraint's sparse
+coefficient dict, scaled by the lcm of the row's denominators.  Artificial
+columns are implicit: they never enter, and a pivot updates each column
+from that column, the pivot column and the pivot row alone, so leaving
+them out changes no other entry.  The basis keeps every column's original
+number, artificials included, because the ratio-test tie-break compares
+those numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .pbf import format_rational, rat
 LESS, GREATER, EQUAL = "<=", ">=", "=="
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+
+_FLIPPED = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 
 
 class LpInternalError(RuntimeError):
@@ -69,22 +79,24 @@ class LinearProgram:
     def variables(self) -> list[str]:
         return list(self._order)
 
-    def _check_names(self, coeffs):
-        for name in coeffs:
-            if name not in self._lower:
-                raise ValueError(f"unknown variable {name!r}")
+    def _nonzero(self, coeffs: dict[str, object]) -> dict[str, Fraction]:
+        """The nonzero coefficients, each coerced once, over declared names."""
+        cl = {}
+        for name, c in coeffs.items():
+            c = rat(c)
+            if c != 0:
+                if name not in self._lower:
+                    raise ValueError(f"unknown variable {name!r}")
+                cl[name] = c
+        return cl
 
     def add_constraint(self, coeffs: dict[str, object], rel: str, rhs: object):
         if rel not in (LESS, GREATER, EQUAL):
             raise ValueError(f"bad relation {rel!r}")
-        cl = {n: rat(c) for n, c in coeffs.items() if rat(c) != 0}
-        self._check_names(cl)
-        self.constraints.append(Constraint(cl, rel, rat(rhs)))
+        self.constraints.append(Constraint(self._nonzero(coeffs), rel, rat(rhs)))
 
     def set_objective(self, coeffs: dict[str, object]):
-        cl = {n: rat(c) for n, c in coeffs.items() if rat(c) != 0}
-        self._check_names(cl)
-        self.objective = cl
+        self.objective = self._nonzero(coeffs)
 
     def dump(self) -> str:
         """Plain-text form, one constraint per line, for debugging."""
@@ -123,120 +135,70 @@ def _pivot(rows: list[list[int]], q: int, pr: int, pc: int) -> int:
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Exact simplex solve; statuses are optimal/infeasible/unbounded."""
-    # Column layout: one column per non-negative variable, two per free
+    # Structural columns: one per non-negative variable, two per free
     # variable (positive and negative part).  Lower bounds are shifted out.
-    cols: list[tuple[str, int]] = []
+    columns: dict[str, list[tuple[int, int]]] = {}
     shift: dict[str, Fraction] = {}
+    ncols = 0
     for name in lp.variables:
         lb = lp._lower[name]
-        if lb is None:
-            cols.append((name, 1))
-            cols.append((name, -1))
-        else:
+        columns[name] = [(ncols, 1)] if lb is not None else [(ncols, 1), (ncols + 1, -1)]
+        ncols += len(columns[name])
+        if lb:
             shift[name] = lb
-            cols.append((name, 1))
-    col_index = {}
-    for idx, key in enumerate(cols):
-        col_index.setdefault(key[0], []).append(idx)
 
-    ncols = len(cols)
-    rows_frac: list[tuple[list[Fraction], str, Fraction]] = []
-    for con in lp.constraints:
-        row = [Fraction(0)] * ncols
-        rhs = con.rhs
-        for name, c in con.coeffs.items():
-            if name in shift and shift[name] != 0:
-                rhs -= c * shift[name]
-            for idx in col_index[name]:
-                row[idx] = c * cols[idx][1]
-        rows_frac.append((row, con.rel, rhs))
+    def fill(row: list[int], coeffs: dict[str, Fraction], scale: int, sign: int = 1) -> None:
+        for name, c in coeffs.items():
+            v = sign * c.numerator * (scale // c.denominator)
+            for idx, s in columns[name]:
+                row[idx] = s * v
 
-    obj = [Fraction(0)] * ncols
-    obj_shift = Fraction(0)
-    for name, c in lp.objective.items():
-        if name in shift and shift[name] != 0:
-            obj_shift += c * shift[name]
-        for idx in col_index[name]:
-            obj[idx] = c * cols[idx][1]
-
-    # Standard form with rhs >= 0, slack/artificial columns, integer rows.
-    nrows = len(rows_frac)
-    slack_cols: list[int] = []
-    art_cols: list[int] = []
-    body: list[list[Fraction]] = []
+    # Standard form with rhs >= 0: a row with a negative rhs is negated and
+    # its relation flipped.  A <= row gets a slack basic, a >= row a surplus
+    # column and an artificial basic, an == row an artificial basic; the
+    # phase-1 row is minus the sum of the artificial rows.  Basis entries are
+    # original column numbers; orig_of_pos maps a stored column to its own.
+    width = ncols + sum(con.rel != EQUAL for con in lp.constraints) + 1
+    orig_of_pos = list(range(ncols))
+    rows: list[list[int]] = []
     basis: list[int] = []
-    total_cols = ncols
-    slack_of_row = {}
-    art_of_row = {}
-    for r, (row, rel, rhs) in enumerate(rows_frac):
+    p1 = [0] * width
+    label = ncols
+    for con in lp.constraints:
+        rhs = con.rhs - sum((c * shift[n] for n, c in con.coeffs.items() if n in shift), Fraction(0))
         sign = -1 if rhs < 0 else 1
-        if sign < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
+        rel = con.rel if sign > 0 else _FLIPPED[con.rel]
+        scale = lcm(rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        row = [0] * width
+        fill(row, con.coeffs, scale, sign)
+        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+        if rel != EQUAL:
+            row[len(orig_of_pos)] = scale if rel == LESS else -scale
+            orig_of_pos.append(label)
+            label += 1
         if rel == LESS:
-            slack_of_row[r] = total_cols
-            slack_cols.append(total_cols)
-            total_cols += 1
-        elif rel == GREATER:
-            slack_of_row[r] = total_cols
-            slack_cols.append(total_cols)
-            total_cols += 1
-            art_of_row[r] = total_cols
-            art_cols.append(total_cols)
-            total_cols += 1
-        else:
-            art_of_row[r] = total_cols
-            art_cols.append(total_cols)
-            total_cols += 1
-        body.append((row, rel, rhs))
-
-    width = total_cols + 1
-    int_rows: list[list[int]] = []
-    for r, (row, rel, rhs) in enumerate(body):
-        full = [Fraction(0)] * width
-        for j, v in enumerate(row):
-            full[j] = v
-        if rel == LESS:
-            full[slack_of_row[r]] = Fraction(1)
-            basis.append(slack_of_row[r])
-        elif rel == GREATER:
-            full[slack_of_row[r]] = Fraction(-1)
-            full[art_of_row[r]] = Fraction(1)
-            basis.append(art_of_row[r])
-        else:
-            full[art_of_row[r]] = Fraction(1)
-            basis.append(art_of_row[r])
-        full[-1] = rhs
-        scale = lcm(*(v.denominator for v in full)) if full else 1
-        int_rows.append([int(v * scale) for v in full])
+            basis.append(orig_of_pos[-1])
+        else:  # the implicit artificial, numbered where it would sit
+            basis.append(label)
+            label += 1
+            p1 = [a - b for a, b in zip(p1, row)]
+        rows.append(row)
+    pos_of = {o: p for p, o in enumerate(orig_of_pos)}
 
     # Objective rows ride along at the bottom: phase 2 first, then phase 1.
-    obj_row = [Fraction(0)] * width
-    for j, v in enumerate(obj):
-        obj_row[j] = v
-    obj_scale = lcm(*(v.denominator for v in obj_row))
-    p2 = [int(v * obj_scale) for v in obj_row]
-
-    art_set = set(art_cols)
-    p1 = [0] * width
-    for r in range(nrows):
-        if basis[r] in art_set:
-            for j in range(width):
-                p1[j] -= int_rows[r][j]
-    for c in art_cols:
-        p1[c] = 0
-
-    rows = int_rows + [p2, p1]
+    p2 = [0] * width
+    fill(p2, lp.objective, lcm(*(c.denominator for c in lp.objective.values())))
+    nrows = len(rows)
+    rows += [p2, p1]
     q = 1
     P2, P1 = nrows, nrows + 1
 
-    def run_phase(obj_idx: int, allowed) -> str:
+    def run_phase(obj_idx: int) -> str:
         nonlocal q
         while True:
             orow = rows[obj_idx]
             enter = -1
-            for j in allowed:
+            for j in range(width - 1):
                 if orow[j] < 0:
                     enter = j
                     break
@@ -255,25 +217,24 @@ def solve(lp: LinearProgram) -> LpSolution:
             if leave < 0:
                 return UNBOUNDED
             q = _pivot(rows, q, leave, enter)
-            basis[leave] = enter
+            basis[leave] = orig_of_pos[enter]
 
-    structural = [j for j in range(total_cols) if j not in art_set]
-    status = run_phase(P1, structural)
+    status = run_phase(P1)
     if status != OPTIMAL or rows[P1][-1] != 0:
         return LpSolution(INFEASIBLE, {}, None)
 
-    # Drive leftover artificial basics out on any nonzero structural entry;
+    # Drive leftover artificial basics out on any nonzero stored entry;
     # rows that cannot pivot are redundant and harmless to keep (their rhs
     # is zero), but dropping keeps later ratio tests cheap.
     drop = []
     for r in range(nrows):
-        if basis[r] in art_set:
-            pc = next((j for j in structural if rows[r][j] != 0), None)
+        if basis[r] not in pos_of:
+            pc = next((j for j in range(width - 1) if rows[r][j] != 0), None)
             if pc is None:
                 drop.append(r)
             else:
                 q = _pivot(rows, q, r, pc)
-                basis[r] = pc
+                basis[r] = orig_of_pos[pc]
     if drop:
         for r in reversed(drop):
             del rows[r]
@@ -281,20 +242,22 @@ def solve(lp: LinearProgram) -> LpSolution:
         nrows -= len(drop)
         P2, P1 = nrows, nrows + 1
 
-    status = run_phase(P2, structural)
+    status = run_phase(P2)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, {}, None)
 
     # A basic variable's value is rhs over its own diagonal entry; initial
-    # slack/artificial basics keep their build-time row scale there, while
-    # pivoted-in columns carry q, so dividing by the diagonal covers both.
-    col_value = [Fraction(0)] * total_cols
+    # slack basics keep their build-time row scale there, while pivoted-in
+    # columns carry q, so dividing by the diagonal covers both.
+    col_value = [Fraction(0)] * ncols
     for r in range(nrows):
-        col_value[basis[r]] = Fraction(rows[r][-1], rows[r][basis[r]])
+        pos = pos_of[basis[r]]
+        if pos < ncols:
+            col_value[pos] = Fraction(rows[r][-1], rows[r][pos])
     values = {}
     for name in lp.variables:
-        v = sum((col_value[idx] * cols[idx][1] for idx in col_index[name]), Fraction(0))
-        values[name] = v + shift.get(name, Fraction(0))
+        v = sum((col_value[idx] * s for idx, s in columns[name]), Fraction(0))
+        values[name] = v + shift.get(name, 0)
     objective_value = sum(
         (c * values[n] for n, c in lp.objective.items()), Fraction(0)
     )

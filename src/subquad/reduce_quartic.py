@@ -55,6 +55,16 @@ class NotRepresentable(Exception):
     outside the reducible subclass."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the replacement algebra failed; indicates a
+    bug.  Raised explicitly, so the checks also run under ``python -O``."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
+
+
 class ForbiddenConfiguration(RuntimeError):
     """An auxiliary-variable state pattern that valid parameters cannot
     produce reached the replacement algebra; indicates a caller bug."""
@@ -801,7 +811,7 @@ def remove_singletons(p: AvParams) -> tuple[MultilinearPoly, AvParams | None]:
             weights[e] = p.g
     out = AvParams(p.g, tuple(weights))
     res_poly = MultilinearPoly(4, residual)
-    assert _preserves_min(p, res_poly, [out])
+    _require(_preserves_min(p, res_poly, [out]), "remove_singletons broke the minimum")
     return res_poly, out
 
 
@@ -842,8 +852,10 @@ def _solve_reference_system(targets: dict[int, Fraction]) -> AvParams:
     w = [targets[FULL4 ^ (1 << i)] - targets[FULL4] for i in range(4)]
     g = targets[FULL4] + sum(w, Fraction(0))
     out = AvParams(g, tuple(w))
-    for t in TRIPLES + (FULL4,):
-        assert partition_coefficient(out, t) == targets[t]
+    _require(
+        all(partition_coefficient(out, t) == targets[t] for t in TRIPLES + (FULL4,)),
+        "reference system missed a target coefficient",
+    )
     return out
 
 
@@ -870,14 +882,16 @@ def normalize_to_reference(p: AvParams, direction: str) -> AvParams:
             if partition_coefficient(p, pm) < 0:
                 raise ValueError("an on pair labeling cannot move to the size-3 pattern")
         out = _solve_reference_system(targets)
-        for pm in PAIR_MASKS:
-            assert partition_coefficient(out, pm) >= 0
+        _require(
+            all(partition_coefficient(out, pm) >= 0 for pm in PAIR_MASKS),
+            "forward normalization left an on pair labeling",
+        )
     else:
         out = _solve_reference_system(targets)
         for pm in PAIR_MASKS:
             if partition_coefficient(out, pm) != min_contribution(p, pm):
                 raise ValueError("input does not sit consistently on the size-2 pattern")
-    assert _preserves_min(p, MultilinearPoly.zero(4), [out])
+    _require(_preserves_min(p, MultilinearPoly.zero(4), [out]), "normalization broke the minimum")
     return out
 
 
@@ -1133,8 +1147,9 @@ def _reflected_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
     total = sum(p.weights, Fraction(0))
     refl = AvParams(total - p.g, p.weights)
     sub_res, sub_avs = case_split(refl)
-    assert not _has_complementary_pair(
-        [pm for pm in PAIR_MASKS if partition_coefficient(refl, pm) < 0]
+    _require(
+        not _has_complementary_pair([pm for pm in PAIR_MASKS if partition_coefficient(refl, pm) < 0]),
+        "reflection kept a complementary on-pair",
     )
     residual = _kappa_poly(p) + sub_res.substitute_complement()
     out = []
@@ -1144,7 +1159,7 @@ def _reflected_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
         residual = residual + _kappa_poly(a).substitute_complement()
         out.append(AvParams(sum(a.weights, Fraction(0)) - a.g, a.weights))
     out = _drop_trivial(out)
-    assert _preserves_min(p, residual, out)
+    _require(_preserves_min(p, residual, out), "reflected split broke the minimum")
     return residual, out
 
 
@@ -1209,8 +1224,10 @@ def merge_duplicate_avs(h: QuadraticPoly) -> QuadraticPoly:
             order.append(key)
     merged = [groups[key] for key in order]
     out = _build_joint(h.n_x, residual, merged)
-    for x in range(1 << h.n_x):
-        assert out.min_over_aux(x)[0] == h.min_over_aux(x)[0]
+    _require(
+        all(out.min_over_aux(x)[0] == h.min_over_aux(x)[0] for x in range(1 << h.n_x)),
+        "merging auxiliaries broke the minimum",
+    )
     return out
 
 
@@ -1247,6 +1264,8 @@ def reduce_av_count(h: QuadraticPoly) -> QuadraticPoly:
         if any(min_contribution(total, m) != 0 for m in range(16)):
             final.append(total)
     out = _build_joint(4, residual, final)
-    for x in range(16):
-        assert out.min_over_aux(x)[0] == h.min_over_aux(x)[0], "pipeline broke the minimum"
+    _require(
+        all(out.min_over_aux(x)[0] == h.min_over_aux(x)[0] for x in range(16)),
+        "pipeline broke the minimum",
+    )
     return out

@@ -3,6 +3,7 @@
 import pytest
 
 from subquad import cli
+from subquad.reduce_quartic import InvariantError
 
 G6_TEXT = "1 : 1 2 3\n-1 : 1 2\n-1 : 1 3\n-1 : 2 3\n"
 QUAD_TEXT = "-1 : 1 2\n1/2 : 1\n"
@@ -85,6 +86,16 @@ def test_reduce4_representable(files, capsys):
 def test_reduce4_g10(files, capsys):
     code, out = run(capsys, ["reduce4", files["g10"]])
     assert (code, out) == (2, "RESULT representable=false\n")
+
+
+def test_invariant_breach_exits_internal_error(files, capsys, monkeypatch):
+    def broken(f):
+        raise InvariantError("pipeline broke the minimum")
+
+    monkeypatch.setattr(cli, "reduce_quartic", broken)
+    code = cli.main(["reduce4", files["g6"]])
+    assert code == 3
+    assert "internal error: pipeline broke the minimum" in capsys.readouterr().err
 
 
 def test_reduce4_g10_nearest(files, capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -346,3 +349,24 @@ class TestReduceQuartic:
             f = random_generator_combination(rng)
             joint = reduce_quartic(f)
             assert verify_reduction(f.poly, joint.to_quadratic()).passed
+
+
+def test_invariant_check_survives_optimize_flag():
+    # Under python -O every assert is stripped; the replacement algebra's
+    # min-preservation checks must still raise.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from subquad import reduce_quartic as rq\n"
+        "from subquad.mbf import AvParams\n"
+        "assert False  # fails here unless -O strips asserts\n"
+        "rq._preserves_min = lambda *args: False\n"
+        "try:\n"
+        "    rq.remove_singletons(AvParams.of(3, (4, 1, 1, 1)))\n"
+        "except rq.InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
