@@ -34,6 +34,11 @@ from .pbf import CapacityForm, MultilinearPoly, QuadraticPoly, from_capacity_for
 
 PROGRESSIVE_THRESHOLD = 6
 
+# Largest program build_reduction_lp will build.  Every k <= 3 table set
+# fits (at most 2156 columns) and k = 4 with the two threshold tables
+# needs 140; the pruned k = 4 set (162 tables) would need about 228k.
+MAX_COLUMNS = 2500
+
 
 @dataclass(frozen=True)
 class ReductionProblem:
@@ -87,6 +92,13 @@ def _check_size(problem: ReductionProblem):
         raise ValueError("refusing k > 4 with more than 40 tables")
 
 
+def _column_count(k: int, M: int) -> int:
+    """Variables of build_reduction_lp's program for k originals and M tables."""
+    shared = 1 + 2 * k + k * (k - 1) // 2 + 2 * M + k * M + M * (M - 1) // 2
+    per_labeling = 1 + (2 * M + M * (M - 1) // 2 + 1 if M else 0)
+    return shared + (1 << k) * per_labeling
+
+
 def _aux_cut_terms(problem: ReductionProblem, x: int, z_bits: dict[int, int]) -> dict[str, Fraction]:
     """Capacity variables cut by the auxiliary labeling z at a fixed x."""
     k = problem.k
@@ -131,6 +143,12 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
     """The L1-nearest program over capacities, flows, and slack variables."""
     _check_size(problem)
     k, M = problem.k, len(problem.mbf_set)
+    columns = _column_count(k, M)
+    if columns > MAX_COLUMNS:
+        raise ValueError(
+            f"refusing a {columns}-column program for k={k} with {M} tables "
+            f"(limit {MAX_COLUMNS}); use --mbfs generators or fewer tables"
+        )
     lp = lpsolver.LinearProgram()
     lp.add_variable("c0", lower=None)
     for i in range(1, k + 1):

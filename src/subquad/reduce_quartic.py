@@ -1,16 +1,20 @@
 """Fourth-order specialization: two auxiliary variables suffice.
 
 A reducible submodular quartic on x1..x4 always admits a form with just
-two auxiliary variables.  The natural prescription fixes their optimal
-states at the symmetric thresholds |S| >= 3 and |S| >= 2 (product active
-on |S| >= 3) and solves an exact feasibility program over the twenty-odd
-coefficients.  That prescription covers everything the non-interacting
-replacement algebra below produces, but not quite the whole reducible
-cone: sums carrying the two-sided interacting generator can provably
-escape it, and for those ``reduce_quartic`` re-prescribes the two state
-patterns (guided by a generator decomposition) and solves the same kind
-of program again.  Non-reducibility is certified exactly, never by
-numeric tolerance.
+two auxiliary variables.  Once their optimal states are prescribed as
+monotone on-sets, one exact program over the auxiliary coefficients
+(``_states_lp``) decides whether such a form exists.  The natural
+prescription is the pair of symmetric thresholds |S| >= 3 and |S| >= 2
+(product active on |S| >= 3).  It covers everything the non-interacting
+replacement algebra below produces, but not the whole reducible cone:
+sums carrying the two-sided interacting generator can escape it.  For
+those ``reduce_quartic`` keeps the first variable on |S| >= 3 and sweeps
+the second through its 114 singleton-free monotone patterns, with every
+other pattern pair as a fallback.  Not every submodular quartic is
+reducible (Zivny, Cohen and Jeavons 2009, "The expressive power of binary
+submodular functions"); the tenth catalog group lies outside the class.
+A quartic with no non-negative generator decomposition is reported
+NotRepresentable, decided exactly, never by numeric tolerance.
 
 The module also carries the replacement algebra that justifies the
 two-variable count for auxiliary variables without interactions:
@@ -38,10 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from . import lpsolver
-from .mbf import AvParams, min_contribution, partition_coefficient, partition_from_params
+from .mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient, partition_from_params
 from .oracle import verify_reduction
 from .pbf import MultilinearPoly, QuadraticPoly, indices_of, is_submodular, mask_of, rat
 
@@ -177,7 +182,43 @@ class JointQuadratic:
 
 
 # ---------------------------------------------------------------------------
-# The exact feasibility program
+# The exact feasibility programs
+
+
+FORWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 3)
+BACKWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 2)
+
+
+def _add_av_variables(lp: lpsolver.LinearProgram) -> None:
+    lp.add_variable("g1")
+    lp.add_variable("g2")
+    for i in range(1, 5):
+        lp.add_variable(f"w1_{i}")
+        lp.add_variable(f"w2_{i}")
+    lp.add_variable("j12")
+
+
+def _zpart_form(mask: int, z1: int, z2: int) -> dict[str, int]:
+    """W(S) at the joint state (z1, z2) as a linear form in (g1, w1_i, g2,
+    w2_i, j12)."""
+    row: dict[str, int] = {}
+    for z, tag in ((z1, "1"), (z2, "2")):
+        if z:
+            row[f"g{tag}"] = 1
+            for i in range(1, 5):
+                if mask >> (i - 1) & 1:
+                    row[f"w{tag}_{i}"] = -1
+    if z1 and z2:
+        row["j12"] = -1
+    return row
+
+
+def _add_sign_rows(lp: lpsolver.LinearProgram, on1: frozenset, on2: frozenset) -> None:
+    """Each auxiliary's coefficient is non-positive on its on-set and
+    non-negative off it."""
+    for mask in range(16):
+        for z1, z2, on in ((1, 0, mask in on1), (0, 1, mask in on2)):
+            lp.add_constraint(_zpart_form(mask, z1, z2), "<=" if on else ">=", 0)
 
 
 def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearProgram:
@@ -195,17 +236,11 @@ def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearP
     for pm in PAIR_MASKS:
         i, j = indices_of(pm)
         lp.add_variable(f"bp_{i}{j}")
-    lp.add_variable("g1")
-    lp.add_variable("g2")
-    for i in range(1, 5):
-        lp.add_variable(f"w1_{i}")
-        lp.add_variable(f"w2_{i}")
-    lp.add_variable("j12")
+    _add_av_variables(lp)
 
     objective: dict[str, Fraction] = {}
     for mask in range(16):
-        z1, z2 = prescribed_states(mask)
-        row: dict[str, Fraction] = {"b0": Fraction(1)}
+        row: dict[str, Fraction | int] = {"b0": Fraction(1)}
         for i in range(1, 5):
             if mask >> (i - 1) & 1:
                 row[f"b{i}"] = Fraction(1)
@@ -213,14 +248,7 @@ def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearP
             if mask & pm == pm:
                 i, j = indices_of(pm)
                 row[f"bp_{i}{j}"] = Fraction(-1)
-        for z, tag in ((z1, "1"), (z2, "2")):
-            if z:
-                row[f"g{tag}"] = Fraction(1)
-                for i in range(1, 5):
-                    if mask >> (i - 1) & 1:
-                        row[f"w{tag}_{i}"] = row.get(f"w{tag}_{i}", Fraction(0)) - 1
-        if z1 and z2:
-            row["j12"] = Fraction(-1)
+        row.update(_zpart_form(mask, *prescribed_states(mask)))
         target = f.value(mask)
         if exact:
             lp.add_constraint(row, "==", target)
@@ -228,145 +256,43 @@ def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearP
             slack = f"d_{mask}"
             lp.add_variable(slack)
             objective[slack] = Fraction(1)
-            lo = dict(row)
-            lo[slack] = lo.get(slack, Fraction(0)) + 1
-            lp.add_constraint(lo, ">=", target)
-            hi = dict(row)
-            hi[slack] = hi.get(slack, Fraction(0)) - 1
-            lp.add_constraint(hi, "<=", target)
-
-    for mask in range(16):
-        for tag, on in (("1", mask.bit_count() >= 3), ("2", mask.bit_count() >= 2)):
-            row = {f"g{tag}": Fraction(1)}
-            for i in range(1, 5):
-                if mask >> (i - 1) & 1:
-                    row[f"w{tag}_{i}"] = Fraction(-1)
-            lp.add_constraint(row, "<=" if on else ">=", 0)
-
+            lp.add_constraint(row | {slack: Fraction(1)}, ">=", target)
+            lp.add_constraint(row | {slack: Fraction(-1)}, "<=", target)
+    _add_sign_rows(lp, FORWARD_SET, BACKWARD_SET)
     lp.set_objective(objective)
     return lp
 
 
-def _threshold_part_form(mask: int) -> dict[str, Fraction]:
-    """W(S) as a linear form in (g1, w1_i, g2, w2_i, j12)."""
-    z1, z2 = prescribed_states(mask)
-    row: dict[str, Fraction] = {}
-    for z, tag in ((z1, "1"), (z2, "2")):
-        if z:
-            row[f"g{tag}"] = row.get(f"g{tag}", Fraction(0)) + 1
-            for i in range(1, 5):
-                if mask >> (i - 1) & 1:
-                    row[f"w{tag}_{i}"] = row.get(f"w{tag}_{i}", Fraction(0)) - 1
-    if z1 and z2:
-        row["j12"] = row.get("j12", Fraction(0)) - 1
-    return row
+def _states_lp(
+    f: QuarticFunction, on1: frozenset, on2: frozenset, sign_rows: bool = False, dominance: bool = True
+) -> lpsolver.LinearProgram:
+    """Program in the auxiliary coefficients alone, with the optimal state
+    of each auxiliary prescribed: on exactly on the labelings in on1 (first)
+    and on2 (second).
 
-
-def _reduced_feasibility_lp(f: QuarticFunction, sign_rows: bool, min_rows: bool) -> lpsolver.LinearProgram:
-    """Equivalent presolve of the exact program: the 16 value rows
-    determine the x-part uniquely once the threshold part W leaves f - W
-    exactly quadratic, so only the threshold coefficients remain unknown.
-
-    sign_rows adds the per-threshold sign pattern; min_rows adds, per
-    labeling, dominance of the prescribed state over the other three joint
-    states.  Either set makes the program sound; both are implied by any
-    representation verified by the oracle.
+    The 16 value rows are folded away: W fixes the x-part f - W, so they
+    only ask it to be a submodular quadratic (no degree-3 or degree-4
+    coefficient, non-positive pair coefficients).  sign_rows adds each
+    auxiliary's own sign pattern; dominance adds, per labeling, that the
+    prescribed joint state weakly beats the other three.  With dominance
+    rows, feasibility is equivalent to a verified reduction whose states
+    follow (on1, on2); sign rows alone do not imply one, since the
+    interaction j12 can make another joint state cheaper.
     """
     lp = lpsolver.LinearProgram()
-    lp.add_variable("g1")
-    lp.add_variable("g2")
-    for i in range(1, 5):
-        lp.add_variable(f"w1_{i}")
-        lp.add_variable(f"w2_{i}")
-    lp.add_variable("j12")
-
-    # f - W must be exactly quadratic: its degree-3 and degree-4
-    # multilinear coefficients vanish.
-    for top in TRIPLES + (FULL4,):
-        row: dict[str, Fraction] = {}
-        bits = top.bit_count()
-        sub = top
-        while True:
-            sign = 1 if (bits - sub.bit_count()) % 2 == 0 else -1
-            for name, c in _threshold_part_form(sub).items():
-                row[name] = row.get(name, Fraction(0)) + sign * c
-            if sub == 0:
-                break
-            sub = (sub - 1) & top
-        lp.add_constraint(row, "==", f.poly.terms.get(top, Fraction(0)))
-
-    # Remaining pair coefficients of f - W must be non-positive.
-    for pm in PAIR_MASKS:
-        row = {}
-        for name, c in _threshold_part_form(pm).items():
-            row[name] = -c
-        lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
-
-    if sign_rows:
-        for mask in range(16):
-            for tag, on in (("1", mask.bit_count() >= 3), ("2", mask.bit_count() >= 2)):
-                row = {f"g{tag}": Fraction(1)}
-                for i in range(1, 5):
-                    if mask >> (i - 1) & 1:
-                        row[f"w{tag}_{i}"] = Fraction(-1)
-                lp.add_constraint(row, "<=" if on else ">=", 0)
-    if min_rows:
-        for mask in range(16):
-            z1, z2 = prescribed_states(mask)
-            base = _zpart_form(mask, z1, z2)
-            for a1 in (0, 1):
-                for a2 in (0, 1):
-                    if (a1, a2) == (z1, z2):
-                        continue
-                    row = dict(base)
-                    for name, c in _zpart_form(mask, a1, a2).items():
-                        row[name] = row.get(name, Fraction(0)) - c
-                    lp.add_constraint(row, "<=", 0)
-    return lp
-
-
-def _zpart_form(mask: int, z1: int, z2: int) -> dict[str, Fraction]:
-    row: dict[str, Fraction] = {}
-    for z, tag in ((z1, "1"), (z2, "2")):
-        if z:
-            row[f"g{tag}"] = row.get(f"g{tag}", Fraction(0)) + 1
-            for i in range(1, 5):
-                if mask >> (i - 1) & 1:
-                    row[f"w{tag}_{i}"] = row.get(f"w{tag}_{i}", Fraction(0)) - 1
-    if z1 and z2:
-        row["j12"] = row.get("j12", Fraction(0)) - 1
-    return row
-
-
-FORWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 3)
-BACKWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 2)
-
-
-def _states_lp(f: QuarticFunction, on1: frozenset, on2: frozenset) -> lpsolver.LinearProgram:
-    """Dominance program for arbitrary prescribed on-sets: value rows are
-    folded away exactly as in the presolve, and per labeling the prescribed
-    joint state must weakly dominate the other three.  Feasibility is then
-    equivalent to the existence of a verified reduction whose auxiliary
-    states follow (on1, on2)."""
-    lp = lpsolver.LinearProgram()
-    lp.add_variable("g1")
-    lp.add_variable("g2")
-    for i in range(1, 5):
-        lp.add_variable(f"w1_{i}")
-        lp.add_variable(f"w2_{i}")
-    lp.add_variable("j12")
+    _add_av_variables(lp)
 
     def states(mask):
         return (1 if mask in on1 else 0, 1 if mask in on2 else 0)
 
     for top in TRIPLES + (FULL4,):
-        row: dict[str, Fraction] = {}
+        row: dict[str, int] = {}
         bits = top.bit_count()
         sub = top
         while True:
             sign = 1 if (bits - sub.bit_count()) % 2 == 0 else -1
             for name, c in _zpart_form(sub, *states(sub)).items():
-                row[name] = row.get(name, Fraction(0)) + sign * c
+                row[name] = row.get(name, 0) + sign * c
             if sub == 0:
                 break
             sub = (sub - 1) & top
@@ -375,33 +301,42 @@ def _states_lp(f: QuarticFunction, on1: frozenset, on2: frozenset) -> lpsolver.L
         # pair coefficient of f - W must stay non-positive; the Moebius sum
         # over the pair includes singleton and empty corrections so that
         # on-sets reaching below size two are still handled exactly
-        row: dict[str, Fraction] = {}
+        row: dict[str, int] = {}
         for name, c in _zpart_form(pm, *states(pm)).items():
             row[name] = -c
         for s in indices_of(pm):
             for name, c in _zpart_form(1 << (s - 1), *states(1 << (s - 1))).items():
-                row[name] = row.get(name, Fraction(0)) + c
+                row[name] = row.get(name, 0) + c
         for name, c in _zpart_form(0, *states(0)).items():
-            row[name] = row.get(name, Fraction(0)) - c
+            row[name] = row.get(name, 0) - c
         lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
-    for mask in range(16):
-        z1, z2 = states(mask)
-        base = _zpart_form(mask, z1, z2)
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                if (a1, a2) == (z1, z2):
-                    continue
-                row = dict(base)
-                for name, c in _zpart_form(mask, a1, a2).items():
-                    row[name] = row.get(name, Fraction(0)) - c
-                lp.add_constraint(row, "<=", 0)
+    if sign_rows:
+        _add_sign_rows(lp, on1, on2)
+    if dominance:
+        for mask in range(16):
+            z1, z2 = states(mask)
+            base = _zpart_form(mask, z1, z2)
+            for a1 in (0, 1):
+                for a2 in (0, 1):
+                    if (a1, a2) == (z1, z2):
+                        continue
+                    row = dict(base)
+                    for name, c in _zpart_form(mask, a1, a2).items():
+                        row[name] = row.get(name, 0) - c
+                    lp.add_constraint(row, "<=", 0)
     return lp
 
 
-def _assemble(f: QuarticFunction, values: dict[str, Fraction], on1=FORWARD_SET, on2=BACKWARD_SET) -> JointQuadratic:
+def _av_params(values: dict[str, Fraction]) -> tuple[AvParams, AvParams, Fraction]:
+    """The two auxiliaries' parameters and their interaction, read off a
+    solution of any of the programs above."""
     av1 = AvParams(values["g1"], tuple(values[f"w1_{i}"] for i in range(1, 5)))
     av2 = AvParams(values["g2"], tuple(values[f"w2_{i}"] for i in range(1, 5)))
-    j12 = values["j12"]
+    return av1, av2, values["j12"]
+
+
+def _assemble(f: QuarticFunction, values: dict[str, Fraction], on1=FORWARD_SET, on2=BACKWARD_SET) -> JointQuadratic:
+    av1, av2, j12 = _av_params(values)
     xvals = []
     for mask in range(16):
         z1, z2 = (1 if mask in on1 else 0, 1 if mask in on2 else 0)
@@ -477,109 +412,29 @@ def decompose_over_generators(f: QuarticFunction) -> list[tuple[int, tuple, Frac
     ]
 
 
-def _upward(masks) -> frozenset:
-    out = set()
-    for m in masks:
-        for s in range(16):
-            if s & m == m:
-                out.add(s)
-    return frozenset(out)
+@cache
+def _pattern_pairs() -> list[tuple[frozenset, frozenset]]:
+    """Every prescription (on1, on2) with on1 a monotone on-set of
+    labelings of size >= 3 and on2 a singleton-free one: 17 x 114 = 1938
+    pairs, larger on-sets first.  The 114 pairs keeping on1 on the forward
+    threshold lead, starting with the threshold pair itself; the rest are
+    a fallback that no measured reducible quartic has needed."""
+    onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
 
+    def ordered(min_size):
+        return sorted(
+            (u for u in onsets if all(m.bit_count() >= min_size for m in u)),
+            key=lambda u: (-len(u), sorted(u)),
+        )
 
-def _natural_on_set(group: int, pattern) -> frozenset | None:
-    """On-set of the single auxiliary variable in a group's closed form."""
-    _, h = generator_catalog(group, pattern)
-    if h is None or h.n_z != 1:
-        return None
-    terms = {m & 0b1111: -c for m, c in h.poly.terms.items() if m >> 4}
-    g = -terms.pop(0, Fraction(0))
-    weights = [terms.get(1 << i, Fraction(0)) for i in range(4)]
-    p = AvParams(g, tuple(weights))
-    return frozenset(m for m in range(16) if partition_coefficient(p, m) < 0)
-
-
-def _split_on_sets(pattern) -> tuple[frozenset, frozenset]:
-    i, j, k, l = pattern
-    p = (1 << (i - 1)) | (1 << (j - 1))
-    q = (1 << (k - 1)) | (1 << (l - 1))
-    z2 = frozenset(s for s in _upward([q]) if s.bit_count() >= 3)
-    z1 = _upward([p]) | z2
-    return z1, z2
-
-
-def _candidate_states(parts) -> list[tuple[frozenset, frozenset]]:
-    """Prescription candidates built from a generator decomposition: the
-    pair-free on-sets union into one slot, the pair-bearing ones into the
-    other, with the reference thresholds as wildcards."""
-    slot1: set[int] = set()
-    slot2: set[int] = set()
-    atoms1: list[frozenset] = []
-    atoms2: list[frozenset] = []
-    for group, pattern, _ in parts:
-        sets = []
-        if group == 9:
-            z1, z2 = _split_on_sets(pattern)
-            sets = [z1, z2]
-        elif group != 1:
-            s = _natural_on_set(group, pattern)
-            if s:
-                sets = [s]
-        for s in sets:
-            if all(m.bit_count() >= 3 for m in s):
-                slot1 |= s
-                atoms1.append(s)
-            else:
-                slot2 |= s
-                atoms2.append(s)
-    u1, u2 = frozenset(slot1), frozenset(slot2)
-    candidates = [
-        (u1, u2),
-        (FORWARD_SET, u2),
-        (u1, BACKWARD_SET),
-        (u1 | FORWARD_SET, u2),
-        (u1, u2 | BACKWARD_SET),
+    level3, nosing = ordered(3), ordered(2)
+    return [(FORWARD_SET, u2) for u2 in nosing] + [
+        (u1, u2) for u2 in nosing for u1 in level3 if u1 != FORWARD_SET
     ]
-    # small bipartition sweep over the individual on-sets
-    atoms = sorted(set(atoms1 + atoms2), key=sorted)
-    if len(atoms) <= 6:
-        for pick in range(1 << len(atoms)):
-            a = frozenset().union(*(atoms[i] for i in range(len(atoms)) if pick >> i & 1))
-            b = frozenset().union(*(atoms[i] for i in range(len(atoms)) if not pick >> i & 1))
-            candidates.append((a, b))
-    seen = set()
-    out = []
-    for cand in candidates:
-        if cand not in seen and cand != (FORWARD_SET, BACKWARD_SET):
-            seen.add(cand)
-            out.append(cand)
-    return out
 
 
-def _restricted_zoo() -> list[tuple[frozenset, frozenset]]:
-    global _ZOO
-    if _ZOO is None:
-        from .mbf import enumerate_mbfs
-
-        onsets = [
-            frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)
-        ]
-        level3 = sorted(
-            (u for u in onsets if all(m.bit_count() >= 3 for m in u)),
-            key=lambda u: (-len(u), sorted(u)),
-        )
-        nosing = sorted(
-            (u for u in onsets if all(m.bit_count() >= 2 for m in u)),
-            key=lambda u: (-len(u), sorted(u)),
-        )
-        _ZOO = [(u1, u2) for u2 in nosing for u1 in level3]
-    return _ZOO
-
-
-_ZOO = None
-
-
-def _try_states(f: QuarticFunction, on1: frozenset, on2: frozenset) -> JointQuadratic | None:
-    sol = lpsolver.solve(_states_lp(f, on1, on2))
+def _try_states(f: QuarticFunction, on1: frozenset, on2: frozenset, sign_rows: bool = False) -> JointQuadratic | None:
+    sol = lpsolver.solve(_states_lp(f, on1, on2, sign_rows))
     if sol.status != lpsolver.OPTIMAL:
         return None
     joint = _assemble(f, sol.values, on1, on2)
@@ -591,38 +446,37 @@ def _try_states(f: QuarticFunction, on1: frozenset, on2: frozenset) -> JointQuad
 def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     """Exact two-auxiliary reduction, oracle-checked.
 
-    The fixed threshold prescription is tried first (it hosts everything
-    the non-interacting replacement algebra produces), but its cone does
-    not exhaust the reducible class: sums carrying the two-sided
-    interacting generator can escape it.  Failures therefore re-prescribe
-    the auxiliary state patterns, first along candidates read off a
-    generator decomposition of f, then across a bounded sweep of monotone
-    pattern pairs.  Raises NotRepresentable when f has no non-negative
-    generator decomposition at all, which is exactly the class the
-    replacement algebra cannot reach.
+    The threshold prescription (|S| >= 3, |S| >= 2) is tried first, as two
+    presolves: under sign rows alone, whose point is kept only when the
+    oracle accepts it, then under sign and dominance rows.  It hosts
+    everything the non-interacting replacement algebra produces, but sums
+    carrying the two-sided interacting generator can escape it.  One
+    ordered sweep over prescribed state patterns (``_pattern_pairs``)
+    follows: the threshold pair under dominance rows alone, then the first
+    auxiliary held on |S| >= 3 while the second runs through its 114
+    singleton-free monotone patterns.  That costs at most 117 LP solves
+    (at most 25 on any measured reducible input) before the remaining pairs,
+    which no measured input has reached.  Right after the threshold pair
+    fails, a generator decomposition is sought; when none exists f lies
+    outside the class the replacement algebra reaches and NotRepresentable
+    is raised, after four LP solves in all.
     """
     if not f.is_submodular():
         raise ValueError("reduce_quartic needs a submodular quartic")
-    for sign_rows, min_rows in ((True, False), (True, True)):
-        sol = lpsolver.solve(_reduced_feasibility_lp(f, sign_rows, min_rows))
-        if sol.status == lpsolver.OPTIMAL:
-            joint = _assemble(f, sol.values)
-            if verify_reduction(f.poly, joint.to_quadratic()).passed:
-                return joint
-    joint = _try_states(f, FORWARD_SET, BACKWARD_SET)
+    sol = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET, sign_rows=True, dominance=False))
+    if sol.status == lpsolver.OPTIMAL:
+        joint = _assemble(f, sol.values)
+        if verify_reduction(f.poly, joint.to_quadratic()).passed:
+            return joint
+    joint = _try_states(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)
     if joint is not None:
         return joint
-    parts = decompose_over_generators(f)
-    if parts is None:
-        raise NotRepresentable("no non-negative generator decomposition exists")
-    for on1, on2 in _candidate_states(parts):
+    for n, (on1, on2) in enumerate(_pattern_pairs()):
         joint = _try_states(f, on1, on2)
         if joint is not None:
             return joint
-    for on1, on2 in _restricted_zoo():
-        joint = _try_states(f, on1, on2)
-        if joint is not None:
-            return joint
+        if n == 0 and decompose_over_generators(f) is None:
+            raise NotRepresentable("no non-negative generator decomposition exists")
     raise lpsolver.LpInternalError(
         "decomposable quartic with no two-variable prescription in the search space"
     )
@@ -641,15 +495,11 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
     sol = lpsolver.solve(lp)
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
-    av1 = AvParams(sol.values["g1"], tuple(sol.values[f"w1_{i}"] for i in range(1, 5)))
-    av2 = AvParams(sol.values["g2"], tuple(sol.values[f"w2_{i}"] for i in range(1, 5)))
     joint = JointQuadratic(
         sol.values["b0"],
         tuple(sol.values[f"b{i}"] for i in range(1, 5)),
         {pm: sol.values[f"bp_{indices_of(pm)[0]}{indices_of(pm)[1]}"] for pm in PAIR_MASKS},
-        av1,
-        av2,
-        sol.values["j12"],
+        *_av_params(sol.values),
     )
     report = verify_reduction(f.poly, joint.to_quadratic())
     distance = sum((abs(g) for g in report.gaps.values()), Fraction(0))

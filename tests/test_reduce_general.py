@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from subquad.mbf import MbfTable, enumerate_mbfs, induced_mbf, is_monotone, prune_mbf_set
 from subquad.pbf import MultilinearPoly
 from subquad.reduce_general import (
+    MAX_COLUMNS,
     ReductionProblem,
+    _column_count,
     build_reduction_lp,
     exact_reduce,
     nearest_quadratic,
     overestimate,
 )
 from subquad import lpsolver
+from subquad.reduce_quartic import generator_catalog
 
 from _gen import random_submodular_cubic, random_submodular_quadratic
 
@@ -48,6 +52,27 @@ class TestProblemValidation:
         problem = ReductionProblem(target, tables, allow_degenerate=True)
         with pytest.raises(ValueError):
             build_reduction_lp(problem)
+
+    def test_column_count_matches_program(self):
+        cases = [
+            (NEG_CUBE, pruned3()),
+            (NEG_CUBE, ()),
+            (MultilinearPoly.zero(4), (MbfTable.threshold(4, 3), MbfTable.threshold(4, 2))),
+        ]
+        for target, tables in cases:
+            lp = build_reduction_lp(ReductionProblem(target, tables))
+            assert len(lp.variables) == _column_count(target.n_vars, len(tables))
+
+    def test_refuses_oversized_program_at_once(self):
+        # The pruned k = 4 set would need a program of about 228k columns;
+        # it must be refused before any of it is built.
+        g10, _ = generator_catalog(10, (1, 2, 3, 4))
+        problem = ReductionProblem(g10.poly, tuple(prune_mbf_set(enumerate_mbfs(4))))
+        assert _column_count(4, len(problem.mbf_set)) > MAX_COLUMNS
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="--mbfs generators"):
+            nearest_quadratic(problem, progressive=False)
+        assert time.monotonic() - start < 5.0
 
 
 class TestExactCases:

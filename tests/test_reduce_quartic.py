@@ -1,16 +1,21 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from subquad import lpsolver
-from subquad.mbf import AvParams, min_contribution, partition_coefficient
+from subquad import reduce_quartic as rq
+from subquad.mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient
 from subquad.oracle import verify_reduction
 from subquad.pbf import MultilinearPoly, QuadraticPoly
 from subquad.reduce_quartic import (
+    BACKWARD_SET,
+    FORWARD_SET,
     PAIR_MASKS,
     ForbiddenConfiguration,
     JointQuadratic,
@@ -32,7 +37,7 @@ from subquad.reduce_quartic import (
     reference_system_matrix,
     remove_singletons,
 )
-from subquad.reduce_quartic import _preserves_min
+from subquad.reduce_quartic import _pattern_pairs, _preserves_min, _states_lp
 
 from _gen import random_av_params, random_generator_combination, random_multi_av_quadratic
 
@@ -349,6 +354,91 @@ class TestReduceQuartic:
             f = random_generator_combination(rng)
             joint = reduce_quartic(f)
             assert verify_reduction(f.poly, joint.to_quadratic()).passed
+
+
+def _program_digest(programs) -> str:
+    h = hashlib.sha256()
+    for lp in programs:
+        h.update("\n".join(f"{v} {lp._lower[v]}" for v in lp.variables).encode())
+        h.update(b"\n" + lp.dump().encode() + b"\n\n")
+    return h.hexdigest()
+
+
+class TestSearchPrograms:
+    # Row order decides which vertex Bland's rule reaches, and so every
+    # reduction the search returns: these digests of the variable order,
+    # bounds and rows on 40 seeded cliques were recorded from the three
+    # separately written builders the shared ones replaced.
+    GOLDEN = {
+        "exact": "a1cddb7985a449ed2f5031efeded4aac69be517e157666a97aed2c41aee13d9f",
+        "nearest": "a2ac5675391d61bc0d5c1187cf185f17e18ee8bdd66300acf5d233df65d0435b",
+        "sign": "8df661cbf4f6ba1a30ffde404aaa20219fb59a95b0ccebc45949fb47d42cc2fd",
+        "sign_dominance": "fec0d1d7ca015d411227ce10c3aabe7e000dac535ea3f719180b997724eb2177",
+        "dominance": "d2ab8e44bb84ccd01868bcb8fed94021738bac5161e34a5e79b1ede67ca8f08d",
+    }
+
+    def test_golden_programs(self):
+        rng = random.Random(40)
+        cliques = [random_generator_combination(rng) for _ in range(40)]
+        fwd, bwd = FORWARD_SET, BACKWARD_SET
+        builders = {
+            "exact": lambda f: build_quartic_lp(f, exact=True),
+            "nearest": lambda f: build_quartic_lp(f, exact=False),
+            "sign": lambda f: _states_lp(f, fwd, bwd, sign_rows=True, dominance=False),
+            "sign_dominance": lambda f: _states_lp(f, fwd, bwd, sign_rows=True),
+            "dominance": lambda f: _states_lp(f, fwd, bwd),
+        }
+        got = {name: _program_digest(build(f) for f in cliques) for name, build in builders.items()}
+        assert got == self.GOLDEN
+
+    def test_sweep_covers_every_pattern_pair_once(self):
+        onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
+        level3 = [u for u in onsets if all(m.bit_count() >= 3 for m in u)]
+        nosing = [u for u in onsets if all(m.bit_count() >= 2 for m in u)]
+        assert (len(level3), len(nosing)) == (17, 114)
+        pairs = _pattern_pairs()
+        assert len(pairs) == len(set(pairs)) == 1938
+        assert set(pairs) == {(u1, u2) for u1 in level3 for u2 in nosing}
+        assert pairs[0] == (FORWARD_SET, BACKWARD_SET)
+        assert all(on1 == FORWARD_SET for on1, _ in pairs[:114])
+
+    @pytest.mark.parametrize("index", [405, 495])
+    def test_search_bound(self, monkeypatch, index):
+        # The two criterion-04 cliques that reached deepest into the old
+        # candidate and pattern-pair rungs (325 and 212 LP solves).
+        rng = random.Random(20260810)
+        for _ in range(index):
+            random_generator_combination(rng)
+        f = random_generator_combination(rng)
+        solve = lpsolver.solve
+        calls = []
+        monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
+        joint = reduce_quartic(f)
+        # two presolves, one decomposition, 114 forward-threshold pairs
+        assert len(calls) <= 117
+        assert verify_reduction(f.poly, joint.to_quadratic()).passed
+
+    def test_not_representable_costs_four_solves(self, monkeypatch):
+        f, _ = generator_catalog(10, (1, 2, 3, 4))
+        solve = lpsolver.solve
+        calls = []
+        monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
+        with pytest.raises(NotRepresentable):
+            reduce_quartic(f)
+        assert len(calls) == 4
+
+    def test_failing_dominance_point_raises(self, monkeypatch):
+        # A point that satisfies the dominance rows but fails the oracle
+        # means a solver or builder bug: the second presolve raises at once
+        # instead of falling through to the sweep.
+        f, _ = generator_catalog(4, (1, 2, 3, 4))
+        solve = lpsolver.solve
+        calls = []
+        monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
+        monkeypatch.setattr(rq, "verify_reduction", lambda *args: SimpleNamespace(passed=False))
+        with pytest.raises(lpsolver.LpInternalError):
+            reduce_quartic(f)
+        assert len(calls) == 2
 
 
 def test_invariant_check_survives_optimize_flag():
