@@ -16,6 +16,7 @@ from .maxflow import minimize_quadratic
 from .mbf import MbfTable, enumerate_mbfs, prune_mbf_set
 from .oracle import format_report, verify_reduction
 from .pbf import (
+    InvariantError,
     MultilinearPoly,
     NotSubmodularQuadratic,
     PolyParseError,
@@ -28,7 +29,6 @@ from .pbf import (
 )
 from .reduce_general import ReductionProblem, nearest_quadratic, overestimate
 from .reduce_quartic import (
-    InvariantError,
     NotRepresentable,
     QuarticFunction,
     generator_catalog,

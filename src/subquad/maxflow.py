@@ -6,18 +6,22 @@ and pair capacities on internal arcs.  A labeling corresponds to the cut
 whose source side is {i : x_i = 1}, and the cut capacity equals the cost
 minus the constant, so the minimum labeling is read off a maximum flow.
 
-Flows are exact rationals.  Augmentation follows shortest paths
-(Edmonds-Karp), which bounds the number of augmentations polynomially and
-independently of the capacity values.
+The flow is exact: the rational capacities are scaled by the lcm of their
+denominators and Dinic's algorithm (BFS level graph, blocking flow by an
+iterative DFS) runs on plain ints.  Before a result is returned an O(E)
+certificate is checked on those ints -- every arc within its capacity,
+flow conserved at every internal node, and the sink's inflow and the
+source-side cut capacity both equal to the flow value -- so a wrong cut
+raises ``InvariantError`` instead of reaching the caller.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .pbf import CapacityForm, QuadraticPoly, to_capacity_form
+from .pbf import CapacityForm, QuadraticPoly, _require, add_into, rat, to_capacity_form
 
 
 @dataclass
@@ -29,10 +33,13 @@ class FlowNetwork:
 
     def __post_init__(self):
         for (u, v), c in self.arcs.items():
-            if c < 0:
-                raise ValueError("arc capacities must be non-negative")
-            if u == v or not 0 <= u <= self.sink or not 0 <= v <= self.sink:
-                raise ValueError(f"bad arc ({u}, {v})")
+            self._check_arc(u, v, c)
+
+    def _check_arc(self, u: int, v: int, cap: Fraction):
+        if cap < 0:
+            raise ValueError("arc capacities must be non-negative")
+        if u == v or not 0 <= u <= self.sink or not 0 <= v <= self.sink:
+            raise ValueError(f"bad arc ({u}, {v})")
 
     @property
     def source(self) -> int:
@@ -43,7 +50,8 @@ class FlowNetwork:
         return self.n_internal + 1
 
     def add(self, u: int, v: int, cap: Fraction):
-        self.arcs[(u, v)] = self.arcs.get((u, v), Fraction(0)) + cap
+        self._check_arc(u, v, cap)
+        add_into(self.arcs, (u, v), rat(cap))
 
 
 @dataclass(frozen=True)
@@ -57,69 +65,146 @@ def build_network(c: CapacityForm) -> FlowNetwork:
     """Network whose min cut plus c_empty is the minimum of the quadratic."""
     net = FlowNetwork(c.n_nodes)
     t = net.sink
-    for i, v in sorted(c.src.items()):
+    for i, v in c.src.items():
         net.add(0, i, v)
-    for i, v in sorted(c.sink.items()):
+    for i, v in c.sink.items():
         net.add(i, t, v)
-    for (i, j), v in sorted(c.pairs.items()):
+    for (i, j), v in c.pairs.items():
         net.add(i, j, v)
     return net
 
 
 def max_flow(net: FlowNetwork) -> CutResult:
-    """Edmonds-Karp with exact rational capacities.
+    """Maximum flow value and the minimal minimum cut, exactly.
 
-    The returned cut is the residual set reachable from the source, i.e.
-    the minimal source side among minimum cuts; its internal nodes are
-    reported as the 1-labeling.
+    Capacities are multiplied by the lcm of their denominators and Dinic's
+    algorithm runs on ints; the value returned is the integer flow divided
+    by that scale.  Each arc is an even edge in paired forward/reverse
+    arrays (edge e's partner is e ^ 1), and each phase builds a BFS level
+    graph and saturates it by an iterative DFS, so deep grids never meet
+    the recursion limit.
+
+    The cut is the set reachable from the source in the final residual
+    graph.  For any maximum flow that set is the intersection of all
+    minimum cuts, so it does not depend on the order of augmentations; its
+    internal nodes are reported as the 1-labeling, which is therefore the
+    minimizer with the fewest ones.  The result is checked by
+    ``_check_certificate`` before it is returned.
     """
     n = net.sink + 1
-    residual: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    for (u, v), cap in sorted(net.arcs.items()):
-        if cap == 0:
-            continue
-        residual[u][v] = residual[u].get(v, Fraction(0)) + cap
-        residual[v].setdefault(u, Fraction(0))
-    flow = Fraction(0)
     s, t = net.source, net.sink
+    arcs = [(u, v, c) for (u, v), c in net.arcs.items() if c != 0]
+    scale = lcm(*{c.denominator for _, _, c in arcs})
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, c in arcs:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c.numerator * (scale // c.denominator))
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    full = cap[:]
+    total = 0
     while True:
-        parent = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in sorted(residual[u]):
-                if v not in parent and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
+        level = _levels(s, n, adj, head, cap)
+        if level[t] < 0:
             break
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            cap = residual[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, Fraction(0)) + bottleneck
-            v = u
-        flow += bottleneck
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-    side = frozenset(v for v in reach if v not in (s, t))
+        total += _blocking_flow(s, t, level, adj, head, cap)
+    reach = level  # nodes the last BFS reached: the source side
+    _check_certificate(s, t, reach, head, full, cap, total)
+    side = frozenset(v for v in range(1, t) if reach[v] >= 0)
     labeling = 0
     for v in side:
         labeling |= 1 << (v - 1)
-    return CutResult(flow, side, labeling)
+    return CutResult(Fraction(total, scale), side, labeling)
+
+
+def _levels(s: int, n: int, adj, head, cap) -> list[int]:
+    """BFS distance from s over residual edges; -1 where unreachable."""
+    level = [-1] * n
+    level[s] = 0
+    queue = [s]
+    for u in queue:
+        nxt = level[u] + 1
+        for e in adj[u]:
+            v = head[e]
+            if cap[e] and level[v] < 0:
+                level[v] = nxt
+                queue.append(v)
+    return level
+
+
+def _blocking_flow(s: int, t: int, level, adj, head, cap) -> int:
+    """Saturate every s-t path of the level graph; returns the flow pushed.
+
+    ``it[u]`` is the next edge of u to try.  An exhausted node is cut out
+    of the level graph and the search retreats one edge; after an
+    augmentation it resumes at the tail of the first saturated edge.
+    """
+    it = [0] * len(adj)
+    pushed = 0
+    path: list[int] = []
+    u = s
+    while True:
+        if u == t:
+            f = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= f
+                cap[e ^ 1] += f
+            pushed += f
+            k = next(k for k, e in enumerate(path) if not cap[e])
+            u = head[path[k] ^ 1]
+            del path[k:]
+            continue
+        edges = adj[u]
+        i = it[u]
+        want = level[u] + 1
+        while i < len(edges):
+            e = edges[i]
+            if cap[e] and level[head[e]] == want:
+                break
+            i += 1
+        it[u] = i
+        if i < len(edges):
+            path.append(edges[i])
+            u = head[edges[i]]
+        elif u == s:
+            return pushed
+        else:
+            level[u] = -1
+            u = head[path.pop() ^ 1]
+            it[u] += 1
+
+
+def _check_certificate(s: int, t: int, reach, head, full, cap, total: int) -> None:
+    """Exact optimality certificate over the integer edge arrays.
+
+    A flow within capacities and conserved at internal nodes, whose value
+    equals the capacity of a cut, is a maximum flow and that cut a minimum
+    one (weak duality); a failure here means the flow code is wrong.
+    """
+    excess = [0] * len(reach)
+    cut = 0
+    for e in range(0, len(head), 2):
+        flow = full[e] - cap[e]
+        _require(
+            0 <= flow <= full[e] and cap[e ^ 1] == flow,
+            "max-flow puts an arc outside [0, capacity]",
+        )
+        v, u = head[e], head[e ^ 1]
+        excess[u] -= flow
+        excess[v] += flow
+        if reach[u] >= 0 and reach[v] < 0:
+            cut += full[e]
+    _require(reach[s] >= 0 and reach[t] < 0, "max-flow cut does not separate s and t")
+    _require(
+        all(excess[v] == 0 for v in range(len(excess)) if v not in (s, t)),
+        "max-flow breaks conservation",
+    )
+    _require(excess[t] == total == -excess[s], "max-flow value differs from the sink inflow")
+    _require(cut == total, "max-flow value differs from the cut capacity")
 
 
 def minimize_quadratic(h: QuadraticPoly) -> tuple[Fraction, int]:

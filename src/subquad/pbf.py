@@ -34,6 +34,17 @@ class NotSubmodularQuadratic(ValueError):
     """Raised when a quadratic has a positive bilinear coefficient."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed (the replacement algebra's minimum
+    checks, the max-flow certificate); indicates a bug.  Raised explicitly,
+    so the checks also run under ``python -O``."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
+
+
 class PolyParseError(ValueError):
     """Polynomial text that does not follow the term-per-line format."""
 
@@ -59,15 +70,23 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
-    """1-based variable indices present in a mask, ascending."""
+    """1-based variable indices present in a mask, ascending.
+
+    Peels the lowest set bit each step, so the cost grows with the number
+    of variables in the mask, not with the highest index.
+    """
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
+
+
+def add_into(acc: dict, key, value) -> None:
+    """``acc[key] += value``, without building a zero for a new key."""
+    old = acc.get(key)
+    acc[key] = value if old is None else old + value
 
 
 def format_rational(x: Fraction) -> str:
@@ -436,16 +455,15 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
         if k == 0:
             c_empty += coeff
         elif k == 1:
-            (i,) = indices_of(mask)
-            linear[i] = linear.get(i, Fraction(0)) + coeff
+            add_into(linear, mask.bit_length(), coeff)
         else:
             if coeff > 0:
                 raise NotSubmodularQuadratic(
                     f"bilinear coefficient {format_rational(coeff)} on {indices_of(mask)} is positive"
                 )
             lo, hi = indices_of(mask)
-            pairs[(hi, lo)] = pairs.get((hi, lo), Fraction(0)) - coeff
-            linear[hi] = linear.get(hi, Fraction(0)) + coeff
+            add_into(pairs, (hi, lo), -coeff)
+            add_into(linear, hi, coeff)
     src: dict[int, Fraction] = {}
     sink: dict[int, Fraction] = {}
     for i, v in sorted(linear.items()):
@@ -505,8 +523,7 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
             indices.append(i)
         if len(set(indices)) != len(indices):
             raise PolyParseError("repeated variable in one term", lineno)
-        m = mask_of(indices)
-        acc[m] = acc.get(m, Fraction(0)) + coeff
+        add_into(acc, mask_of(indices), coeff)
         max_index = max(max_index, *indices, 0) if indices else max_index
     n = max_index if n_vars is None else n_vars
     if n < max_index:

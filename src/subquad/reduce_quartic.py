@@ -48,7 +48,16 @@ from itertools import combinations, permutations
 from . import lpsolver
 from .mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient, partition_from_params
 from .oracle import verify_reduction
-from .pbf import MultilinearPoly, QuadraticPoly, indices_of, is_submodular, mask_of, rat
+from .pbf import (
+    InvariantError,
+    MultilinearPoly,
+    QuadraticPoly,
+    _require,
+    indices_of,
+    is_submodular,
+    mask_of,
+    rat,
+)
 
 FULL4 = 0b1111
 TRIPLES = tuple(FULL4 ^ (1 << (p - 1)) for p in (1, 2, 3, 4))  # missing 1,2,3,4
@@ -58,16 +67,6 @@ PAIR_MASKS = tuple(sorted(m for m in range(16) if m.bit_count() == 2))
 class NotRepresentable(Exception):
     """The exact feasibility program has no solution: the quartic lies
     outside the reducible subclass."""
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant of the replacement algebra failed; indicates a
-    bug.  Raised explicitly, so the checks also run under ``python -O``."""
-
-
-def _require(ok: bool, what: str) -> None:
-    if not ok:
-        raise InvariantError(what)
 
 
 class ForbiddenConfiguration(RuntimeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from subquad import cli
+from subquad import cli, maxflow
 from subquad.reduce_quartic import InvariantError
 
 G6_TEXT = "1 : 1 2 3\n-1 : 1 2\n-1 : 1 3\n-1 : 2 3\n"
@@ -96,6 +96,14 @@ def test_invariant_breach_exits_internal_error(files, capsys, monkeypatch):
     code = cli.main(["reduce4", files["g6"]])
     assert code == 3
     assert "internal error: pipeline broke the minimum" in capsys.readouterr().err
+
+
+def test_flow_certificate_failure_exits_internal_error(files, capsys, monkeypatch):
+    blocking_flow = maxflow._blocking_flow
+    monkeypatch.setattr(maxflow, "_blocking_flow", lambda *args: blocking_flow(*args) + 1)
+    code = cli.main(["minimize", files["quad"]])
+    assert code == 3
+    assert "internal error: max-flow" in capsys.readouterr().err
 
 
 def test_reduce4_g10_nearest(files, capsys):

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subquad import maxflow
 from subquad.maxflow import CutResult, FlowNetwork, build_network, max_flow, minimize_quadratic
 from subquad.oracle import brute_min
 from subquad.pbf import (
     CapacityForm,
+    InvariantError,
     MultilinearPoly,
     NotSubmodularQuadratic,
     QuadraticPoly,
@@ -14,6 +18,13 @@ from subquad.pbf import (
 )
 
 from _gen import random_submodular_quadratic
+
+
+def _cut_capacity(net, side):
+    return sum(
+        (c for (u, v), c in net.arcs.items() if u in side and v not in side),
+        Fraction(0),
+    )
 
 
 class TestMaxFlow:
@@ -50,16 +61,104 @@ class TestMaxFlow:
                 if u != v:
                     net.add(u, v, Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])))
             res = max_flow(net)
-            side = res.source_side | {0}
-            cut = sum(
-                (c for (u, v), c in net.arcs.items() if u in side and v not in side),
-                Fraction(0),
-            )
-            assert cut == res.flow_value
+            assert _cut_capacity(net, res.source_side | {0}) == res.flow_value
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
             FlowNetwork(1, {(0, 1): Fraction(-1)})
+
+    def test_add_rejects_negative_capacity(self):
+        net = FlowNetwork(1)
+        with pytest.raises(ValueError, match="non-negative"):
+            net.add(0, 1, Fraction(-1))
+        assert net.arcs == {}
+
+    def test_add_rejects_self_loop(self):
+        net = FlowNetwork(1)
+        with pytest.raises(ValueError, match="bad arc"):
+            net.add(1, 1, Fraction(1))
+        assert net.arcs == {}
+
+    def test_add_rejects_node_out_of_range(self):
+        net = FlowNetwork(1)
+        with pytest.raises(ValueError, match="bad arc"):
+            net.add(0, 3, Fraction(1))
+        with pytest.raises(ValueError, match="bad arc"):
+            net.add(-1, 1, Fraction(1))
+        assert net.arcs == {}
+
+    def test_add_accumulates(self):
+        net = FlowNetwork(1)
+        net.add(0, 1, Fraction(1, 3))
+        net.add(0, 1, Fraction(1, 6))
+        assert net.arcs == {(0, 1): Fraction(1, 2)}
+
+    def test_value_is_reduced_over_mixed_denominators(self):
+        net = FlowNetwork(2)
+        net.add(0, 1, Fraction(1, 3))
+        net.add(1, 3, Fraction(1))
+        net.add(0, 2, Fraction(1, 7))
+        net.add(2, 3, Fraction(1))
+        value = max_flow(net).flow_value
+        assert (value.numerator, value.denominator) == (10, 21)
+
+    def test_long_path_needs_no_recursion(self):
+        n = 5000
+        net = FlowNetwork(n)
+        for v in range(n + 1):
+            net.add(v, v + 1, Fraction(2 + v % 3, 3))
+        res = max_flow(net)
+        assert res.flow_value == Fraction(2, 3)
+        assert res.source_side == frozenset()
+
+    def test_certificate_rejects_a_wrong_flow(self, monkeypatch):
+        blocking_flow = maxflow._blocking_flow
+
+        def overcounted(*args):
+            return blocking_flow(*args) + 1
+
+        monkeypatch.setattr(maxflow, "_blocking_flow", overcounted)
+        net = FlowNetwork(1, {(0, 1): Fraction(1), (1, 2): Fraction(2)})
+        with pytest.raises(InvariantError, match="max-flow"):
+            max_flow(net)
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(0, 8))
+    nodes = st.integers(0, n + 1)
+    caps = st.builds(Fraction, st.integers(0, 12), st.integers(1, 9))
+    net = FlowNetwork(n)
+    for _ in range(draw(st.integers(0, 24))):
+        u, v = draw(nodes), draw(nodes)
+        if u == v:
+            continue
+        net.add(u, v, draw(caps))
+        if draw(st.booleans()):
+            net.add(v, u, draw(caps))
+    return net
+
+
+class TestMaxFlowProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(networks())
+    def test_value_and_cut_match_brute_force(self, net):
+        res = max_flow(net)
+        internal = range(1, net.sink)
+        cuts = {}
+        for bits in range(1 << net.n_internal):
+            side = frozenset(v for v in internal if bits >> (v - 1) & 1)
+            cuts[side] = _cut_capacity(net, side | {net.source})
+        best = min(cuts.values())
+        assert res.flow_value == best
+        assert (res.flow_value.numerator, res.flow_value.denominator) == (
+            best.numerator,
+            best.denominator,
+        )
+        smallest = frozenset(internal).intersection(*(s for s, c in cuts.items() if c == best))
+        assert res.source_side == smallest
+        assert cuts[smallest] == best
+        assert res.labeling == sum(1 << (v - 1) for v in smallest)
 
 
 class TestBuildNetwork:

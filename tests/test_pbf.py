@@ -10,6 +10,7 @@ from subquad.pbf import (
     QuadraticPoly,
     format_polynomial,
     from_capacity_form,
+    indices_of,
     is_submodular,
     is_submodular_lattice,
     mask_of,
@@ -243,3 +244,27 @@ def test_mask_helpers():
     assert mask_of([1, 3]) == 0b101
     with pytest.raises(ValueError):
         mask_of([0])
+
+
+def _indices_bit_by_bit(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_indices_of_matches_bit_by_bit_on_wide_masks():
+    rng = random.Random(41)
+    masks = [0, 1, 1 << 699, (1 << 700) - 1, (1 << 699) | 1, 0b1010 << 640]
+    for _ in range(200):
+        width = rng.randint(1, 700)
+        density = rng.choice([0.002, 0.01, 0.1, 0.5, 0.9])
+        masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    for mask in masks:
+        assert indices_of(mask) == _indices_bit_by_bit(mask)
+
+
+def test_mask_indices_round_trip():
+    rng = random.Random(43)
+    for _ in range(200):
+        indices = tuple(sorted(rng.sample(range(1, 701), rng.randint(0, 40))))
+        assert indices_of(mask_of(indices)) == indices
+        mask = rng.getrandbits(700)
+        assert mask_of(indices_of(mask)) == mask
