@@ -1,16 +1,28 @@
 """Exact rational linear programming by two-phase primal simplex.
 
-The tableau is kept fraction-free: an integer matrix M plus one positive
-integer denominator q represent the real tableau M/q.  A pivot replaces q
-by the pivot entry and updates every other row with
+The tableau is sparse and integer: each row (the two objective rows too)
+is a dict of its nonzero entries, with the right-hand side under the key
+_RHS, and stands for the real tableau row times a positive scale of its
+own.  A pivot on entry piv = prow[pc] replaces every row with
+f = row[pc] != 0 by
 
-    M'[i][j] = (M[i][j] * M[pr][pc] - M[i][pc] * M[pr][j]) // q
+    piv * row - f * prow
 
-where the division is exact (tableau entries are scaled basis minors), so
-no gcd work happens in the inner loop and Python's big integers carry the
-growth.  Entering columns follow Bland's rule (smallest index with a
-negative reduced cost) and ties in the ratio test leave the basic variable
-with the smallest index, which rules out cycling.
+over the union of the two supports (with piv and f first divided by
+their gcd), dropping zeros, and divides the result by the gcd of its
+entries; rows with no entry in column pc are not touched.  When piv < 0 (only when an artificial is driven out: both
+phases pivot on positive entries) the pivot row is negated first, so the new
+scale, the old one times piv over the gcd, stays positive and every
+basic diagonal entry stays positive.
+
+Every decision therefore reads the same as on the real tableau: the sign
+of each entry, each ratio rhs/a within a row and each rhs/diagonal.
+Entering columns follow Bland's rule (smallest index with a negative
+reduced cost), ties in the ratio test leave the basic variable with the
+smallest original column number, which rules out cycling, an artificial
+is driven out on its row's first nonzero, and rows left all zero are
+dropped; so the pivot sequence, every vertex and every value are those of
+the real tableau, whatever the scales.
 
 Free variables are split into differences of two non-negative columns;
 non-zero lower bounds are shifted away.  Infeasibility and unboundedness
@@ -21,7 +33,7 @@ Each integer row is built straight from its constraint's sparse
 coefficient dict, scaled by the lcm of the row's denominators.  Artificial
 columns are implicit: they never enter, and a pivot updates each column
 from that column, the pivot column and the pivot row alone, so leaving
-them out changes no other entry.  The basis keeps every column's original
+them out changes no other entry beyond its row's scale.  The basis keeps every column's original
 number, artificials included, because the ratio-test tie-break compares
 those numbers.
 """
@@ -30,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .pbf import format_rational, rat
 
@@ -39,6 +51,8 @@ LESS, GREATER, EQUAL = "<=", ">=", "=="
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 _FLIPPED = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+
+_RHS = -1  # key of the right-hand side in every tableau row
 
 
 class LpInternalError(RuntimeError):
@@ -114,23 +128,31 @@ class LinearProgram:
         return "\n".join(lines) + "\n"
 
 
-def _pivot(rows: list[list[int]], q: int, pr: int, pc: int) -> int:
+def _pivot(rows: list[dict[int, int]], pr: int, pc: int) -> None:
+    """Pivot on (pr, pc) in place, as the module docstring describes."""
     prow = rows[pr]
     piv = prow[pc]
-    for i in range(len(rows)):
-        if i == pr:
-            continue
-        row = rows[i]
-        f = row[pc]
-        if f:
-            rows[i] = [(v * piv - f * p) // q for v, p in zip(row, prow)]
-        elif piv != q:
-            rows[i] = [v * piv // q for v in row]
     if piv < 0:
-        for i in range(len(rows)):
-            rows[i] = [-v for v in rows[i]]
+        prow = rows[pr] = {j: -v for j, v in prow.items()}
         piv = -piv
-    return piv
+    pitems = prow.items()
+    for i, row in enumerate(rows):
+        f = row.get(pc)
+        if f is None or i == pr:
+            continue
+        g = gcd(piv, f)
+        a, f = piv // g, f // g
+        new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+        for j, p in pitems:
+            v = new.get(j, 0) - f * p
+            if v:
+                new[j] = v
+            else:
+                del new[j]
+        g = gcd(*new.values())
+        if g > 1:
+            new = {j: v // g for j, v in new.items()}
+        rows[i] = new
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -147,31 +169,32 @@ def solve(lp: LinearProgram) -> LpSolution:
         if lb:
             shift[name] = lb
 
-    def fill(row: list[int], coeffs: dict[str, Fraction], scale: int, sign: int = 1) -> None:
+    def sparse_row(coeffs: dict[str, Fraction], scale: int, sign: int = 1) -> dict[int, int]:
+        row = {}
         for name, c in coeffs.items():
             v = sign * c.numerator * (scale // c.denominator)
             for idx, s in columns[name]:
                 row[idx] = s * v
+        return row
 
     # Standard form with rhs >= 0: a row with a negative rhs is negated and
     # its relation flipped.  A <= row gets a slack basic, a >= row a surplus
     # column and an artificial basic, an == row an artificial basic; the
     # phase-1 row is minus the sum of the artificial rows.  Basis entries are
     # original column numbers; orig_of_pos maps a stored column to its own.
-    width = ncols + sum(con.rel != EQUAL for con in lp.constraints) + 1
     orig_of_pos = list(range(ncols))
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
-    p1 = [0] * width
+    p1: dict[int, int] = {}
     label = ncols
     for con in lp.constraints:
         rhs = con.rhs - sum((c * shift[n] for n, c in con.coeffs.items() if n in shift), Fraction(0))
         sign = -1 if rhs < 0 else 1
         rel = con.rel if sign > 0 else _FLIPPED[con.rel]
         scale = lcm(rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-        row = [0] * width
-        fill(row, con.coeffs, scale, sign)
-        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+        row = sparse_row(con.coeffs, scale, sign)
+        if rhs:
+            row[_RHS] = sign * rhs.numerator * (scale // rhs.denominator)
         if rel != EQUAL:
             row[len(orig_of_pos)] = scale if rel == LESS else -scale
             orig_of_pos.append(label)
@@ -181,89 +204,85 @@ def solve(lp: LinearProgram) -> LpSolution:
         else:  # the implicit artificial, numbered where it would sit
             basis.append(label)
             label += 1
-            p1 = [a - b for a, b in zip(p1, row)]
+            for j, v in row.items():
+                w = p1.get(j, 0) - v
+                if w:
+                    p1[j] = w
+                else:
+                    del p1[j]
         rows.append(row)
     pos_of = {o: p for p, o in enumerate(orig_of_pos)}
 
     # Objective rows ride along at the bottom: phase 2 first, then phase 1.
-    p2 = [0] * width
-    fill(p2, lp.objective, lcm(*(c.denominator for c in lp.objective.values())))
     nrows = len(rows)
-    rows += [p2, p1]
-    q = 1
-    P2, P1 = nrows, nrows + 1
+    rows += [sparse_row(lp.objective, lcm(*(c.denominator for c in lp.objective.values()))), p1]
 
     def run_phase(obj_idx: int) -> str:
-        nonlocal q
         while True:
-            orow = rows[obj_idx]
-            enter = -1
-            for j in range(width - 1):
-                if orow[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, v in rows[obj_idx].items() if v < 0 and j != _RHS), default=-1)
             if enter < 0:
                 return OPTIMAL
             leave = -1
             best_num = best_den = None
             for r in range(nrows):
-                a = rows[r][enter]
+                a = rows[r].get(enter, 0)
                 if a > 0:
-                    b = rows[r][-1]
+                    b = rows[r].get(_RHS, 0)
                     if leave < 0 or b * best_den < best_num * a or (
                         b * best_den == best_num * a and basis[r] < basis[leave]
                     ):
                         leave, best_num, best_den = r, b, a
             if leave < 0:
                 return UNBOUNDED
-            q = _pivot(rows, q, leave, enter)
+            _pivot(rows, leave, enter)
             basis[leave] = orig_of_pos[enter]
 
-    status = run_phase(P1)
-    if status != OPTIMAL or rows[P1][-1] != 0:
+    status = run_phase(nrows + 1)
+    if status != OPTIMAL or _RHS in rows[-1]:
         return LpSolution(INFEASIBLE, {}, None)
+    rows.pop()  # the phase-1 row has done its work
 
-    # Drive leftover artificial basics out on any nonzero stored entry;
-    # rows that cannot pivot are redundant and harmless to keep (their rhs
-    # is zero), but dropping keeps later ratio tests cheap.
+    # Drive leftover artificial basics out on the first nonzero stored
+    # entry; rows that cannot pivot are redundant and harmless to keep
+    # (their rhs is zero), but dropping keeps later ratio tests cheap.
     drop = []
     for r in range(nrows):
         if basis[r] not in pos_of:
-            pc = next((j for j in range(width - 1) if rows[r][j] != 0), None)
+            pc = min((j for j in rows[r] if j != _RHS), default=None)
             if pc is None:
                 drop.append(r)
             else:
-                q = _pivot(rows, q, r, pc)
+                _pivot(rows, r, pc)
                 basis[r] = orig_of_pos[pc]
-    if drop:
-        for r in reversed(drop):
-            del rows[r]
-            del basis[r]
-        nrows -= len(drop)
-        P2, P1 = nrows, nrows + 1
+    for r in reversed(drop):
+        del rows[r]
+        del basis[r]
+    nrows -= len(drop)
 
-    status = run_phase(P2)
+    status = run_phase(nrows)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, {}, None)
 
-    # A basic variable's value is rhs over its own diagonal entry; initial
-    # slack basics keep their build-time row scale there, while pivoted-in
-    # columns carry q, so dividing by the diagonal covers both.
-    col_value = [Fraction(0)] * ncols
+    # A basic variable's value is rhs over its own diagonal entry, which
+    # carries the row's scale; only nonzero values are kept and summed.
+    col_value: dict[int, Fraction] = {}
     for r in range(nrows):
         pos = pos_of[basis[r]]
-        if pos < ncols:
-            col_value[pos] = Fraction(rows[r][-1], rows[r][pos])
+        if pos < ncols and _RHS in rows[r]:
+            col_value[pos] = Fraction(rows[r][_RHS], rows[r][pos])
     values = {}
     for name in lp.variables:
-        v = sum((col_value[idx] * s for idx, s in columns[name]), Fraction(0))
-        values[name] = v + shift.get(name, 0)
+        v = shift.get(name, Fraction(0))
+        for idx, s in columns[name]:
+            if idx in col_value:
+                v += s * col_value[idx]
+        values[name] = v
     objective_value = sum(
-        (c * values[n] for n, c in lp.objective.items()), Fraction(0)
+        (c * values[n] for n, c in lp.objective.items() if values[n]), Fraction(0)
     )
 
     for con in lp.constraints:
-        lhs = sum((c * values[n] for n, c in con.coeffs.items()), Fraction(0))
+        lhs = sum((c * values[n] for n, c in con.coeffs.items() if values[n]), Fraction(0))
         ok = lhs <= con.rhs if con.rel == LESS else lhs >= con.rhs if con.rel == GREATER else lhs == con.rhs
         if not ok:
             raise LpInternalError(f"solution violates {con.coeffs} {con.rel} {con.rhs}")

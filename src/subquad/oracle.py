@@ -3,7 +3,8 @@
 Everything here works by full enumeration of labelings and never shares a
 code path with the solvers it checks (evaluation goes through the plain
 subset-sum in MultilinearPoly, which is itself pinned by hand-computed
-vectors in the tests).
+vectors in the tests).  A reduction is checked from one value table of
+the target and one of the quadratic over all of its variables.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ def brute_min(f: MultilinearPoly) -> tuple[Fraction, int]:
     return best, best_mask
 
 
-def _induced_bits(h: QuadraticPoly, av: int) -> list[int]:
-    """Optimal state of auxiliary variable ``av`` (1-based within the aux
-    block) per x labeling, minimizing over the other aux variables; a tie
-    is resolved to 0."""
-    bits = []
-    a_bit = 1 << (av - 1)
-    for x in range(1 << h.n_x):
-        best0 = best1 = None
-        for z in range(1 << h.n_z):
-            v = h.evaluate(x, z)
-            if z & a_bit:
-                if best1 is None or v < best1:
-                    best1 = v
-            else:
-                if best0 is None or v < best0:
-                    best0 = v
-        bits.append(1 if best1 < best0 else 0)
-    return bits
-
-
 def _monotone(bits: list[int], k: int) -> bool:
     for mask in range(1 << k):
         for i in range(k):
@@ -89,16 +70,24 @@ def verify_reduction(f: MultilinearPoly, h: QuadraticPoly) -> VerificationReport
         raise ValueError("h must have one original variable per variable of f")
     if h.n_vars > ENUMERATION_CAP:
         raise ValueError(f"verify_reduction refuses n > {ENUMERATION_CAP}")
+    f_values = f.evaluate_all()
+    h_values = h.poly.evaluate_all()  # h(x, z) at index x | z << n_x
+    stride = 1 << h.n_x
     rows = []
-    ok = True
-    for x in range(1 << f.n_vars):
-        fv = f.evaluate(x)
-        hmin, zarg = h.min_over_aux(x)
-        gap = fv - hmin
-        if gap != 0:
-            ok = False
-        rows.append(LabelingRow(x, fv, hmin, gap, zarg))
-    mono = tuple(_monotone(_induced_bits(h, a), h.n_x) for a in range(1, h.n_z + 1))
+    # induced[a][x]: optimal state of auxiliary a + 1 at x, minimizing over
+    # the other auxiliaries; a tie is resolved to 0
+    induced = [[0] * stride for _ in range(h.n_z)]
+    for x in range(stride):
+        over_z = h_values[x::stride]
+        hmin = min(over_z)
+        rows.append(LabelingRow(x, f_values[x], hmin, f_values[x] - hmin, over_z.index(hmin)))
+        for a, bits in enumerate(induced):
+            bit = 1 << a
+            best0 = min(v for z, v in enumerate(over_z) if not z & bit)
+            best1 = min(v for z, v in enumerate(over_z) if z & bit)
+            bits[x] = 1 if best1 < best0 else 0
+    ok = all(row.gap == 0 for row in rows)
+    mono = tuple(_monotone(bits, h.n_x) for bits in induced)
     return VerificationReport(tuple(rows), ok, mono)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -152,15 +153,17 @@ class MultilinearPoly:
         n = self.n_vars
         if n > ENUMERATION_CAP:
             raise ValueError(f"evaluate_all refuses n > {ENUMERATION_CAP}")
-        vals = [Fraction(0)] * (1 << n)
+        # integer sums over the common denominator, one Fraction per value
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        vals = [0] * (1 << n)
         for mask, coeff in self.terms.items():
-            vals[mask] += coeff
+            vals[mask] = coeff.numerator * (den // coeff.denominator)
         for i in range(n):
             bit = 1 << i
             for m in range(1 << n):
                 if m & bit:
                     vals[m] += vals[m ^ bit]
-        return vals
+        return [Fraction(v, den) for v in vals]
 
     @classmethod
     def from_values(cls, n_vars: int, values: list[Fraction]) -> "MultilinearPoly":

@@ -270,7 +270,10 @@ def _candidate_subsets(problem: ReductionProblem):
 
     Ordered by the sign of the target's top coefficient: a non-positive top
     term reduces through the all-variables conjunction, a positive one
-    through the |S| >= 2 threshold, so those candidates come first.
+    through the |S| >= 2 threshold, so those candidates come first.  The
+    empty subset comes first when the target is quadratic, and not at all
+    otherwise: with no auxiliaries h is a quadratic, and a multilinear form
+    is unique, so it cannot match a term of degree 3 or more.
     """
     k = problem.k
     by_bits = {t.bits: t for t in problem.mbf_set}
@@ -282,7 +285,8 @@ def _candidate_subsets(problem: ReductionProblem):
         t = by_bits.get(MbfTable.threshold(k, r).bits)
         if t is not None:
             hinted.append(t)
-    yield ()
+    if problem.target.degree < 3:
+        yield ()
     for t in hinted:
         yield (t,)
     for t in problem.mbf_set:

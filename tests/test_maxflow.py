@@ -140,7 +140,7 @@ def networks(draw):
 
 
 class TestMaxFlowProperties:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(networks())
     def test_value_and_cut_match_brute_force(self, net):
         res = max_flow(net)

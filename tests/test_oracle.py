@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from subquad.oracle import brute_min, format_report, verify_reduction
+from subquad.oracle import LabelingRow, VerificationReport, _monotone, brute_min, format_report, verify_reduction
 from subquad.pbf import MultilinearPoly, QuadraticPoly
 
 
@@ -70,3 +71,65 @@ class TestVerifyReduction:
         assert lines[0] == "labeling f min_h gap z_argmin"
         assert lines[1] == "- 0 0 0 -"
         assert lines[-1] == "1,2 -1 -1 0 -"
+
+
+def reference_report(f, h):
+    """verify_reduction as per-labeling loops: one evaluation of h per
+    (x, z) for the minimum and again per auxiliary for its induced bit."""
+    rows = []
+    for x in range(1 << f.n_vars):
+        fv = f.evaluate(x)
+        hmin, zarg = h.min_over_aux(x)
+        rows.append(LabelingRow(x, fv, hmin, fv - hmin, zarg))
+
+    def induced_bits(av):
+        bits = []
+        a_bit = 1 << (av - 1)
+        for x in range(1 << h.n_x):
+            best0 = best1 = None
+            for z in range(1 << h.n_z):
+                v = h.evaluate(x, z)
+                if z & a_bit:
+                    if best1 is None or v < best1:
+                        best1 = v
+                elif best0 is None or v < best0:
+                    best0 = v
+            bits.append(1 if best1 < best0 else 0)
+        return bits
+
+    mono = tuple(_monotone(induced_bits(a), h.n_x) for a in range(1, h.n_z + 1))
+    return VerificationReport(tuple(rows), all(row.gap == 0 for row in rows), mono)
+
+
+def random_reduction(rng, n_z):
+    """A quadratic with small coefficients (so minima tie often) and a
+    target that is its minimum over the auxiliaries, sometimes perturbed;
+    sometimes the last auxiliary appears in no term, so it ties on every
+    labeling."""
+    n_x = rng.randint(1, 4)
+    n = n_x + n_z
+    idle = n_z and rng.random() < 0.3
+    terms = {}
+    for i in range(n - idle):
+        for j in range(i, n - idle):
+            if rng.random() < 0.5:
+                terms[1 << i | 1 << j] = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+    h = QuadraticPoly(MultilinearPoly(n, terms), n_x, n_z)
+    f = MultilinearPoly.from_values(n_x, [h.min_over_aux(x)[0] for x in range(1 << n_x)])
+    if rng.random() < 0.3:
+        f = f + MultilinearPoly(n_x, {rng.randrange(1 << n_x): Fraction(rng.choice((-1, 1)), 2)})
+    return f, h
+
+
+@pytest.mark.parametrize("n_z", [0, 1, 2, 3])
+def test_report_matches_per_labeling_loops(n_z):
+    rng = random.Random(60 + n_z)
+    ties = 0
+    for _ in range(60):
+        f, h = random_reduction(rng, n_z)
+        report = verify_reduction(f, h)
+        assert report == reference_report(f, h)
+        ties += sum(list(h.poly.evaluate_all()[row.x::1 << h.n_x]).count(row.h_min) > 1
+                    for row in report.rows)
+    if n_z:
+        assert ties > 0  # the tie rules were exercised

@@ -9,7 +9,9 @@ from subquad.pbf import MultilinearPoly
 from subquad.reduce_general import (
     MAX_COLUMNS,
     ReductionProblem,
+    _candidate_subsets,
     _column_count,
+    _solve,
     build_reduction_lp,
     exact_reduce,
     nearest_quadratic,
@@ -172,6 +174,46 @@ class TestSoundness:
                 if prev is not None:
                     assert result.l1_distance <= prev
                 prev = result.l1_distance
+
+
+class TestProgressiveSubsets:
+    @staticmethod
+    def counted_solves(monkeypatch):
+        programs = []
+        real = lpsolver.solve
+
+        def counting(lp):
+            programs.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(lpsolver, "solve", counting)
+        return programs
+
+    def test_cubic_target_skips_the_empty_subset(self, monkeypatch):
+        rng = random.Random(7)
+        tables = pruned3()
+        targets = [f for f in (random_submodular_cubic(rng) for _ in range(12)) if f.degree == 3]
+        assert len(targets) >= 8
+        # with no auxiliaries the fit misses, so trying it first changed nothing
+        assert all(_solve(ReductionProblem(f, (), allow_degenerate=True)).l1_distance > 0
+                   for f in targets)
+        first = [next(_candidate_subsets(ReductionProblem(f, tables))) for f in targets]
+        expected = [_solve(ReductionProblem(f, sub, allow_degenerate=True))
+                    for f, sub in zip(targets, first)]
+        programs = self.counted_solves(monkeypatch)
+        for f, want in zip(targets, expected):
+            del programs[:]
+            assert nearest_quadratic(ReductionProblem(f, tables)) == want
+            assert len(programs) == 1
+
+    def test_quadratic_target_tries_the_empty_subset_first(self, monkeypatch):
+        target = random_submodular_quadratic(random.Random(3), 3).poly
+        assert target.terms.get(0b111, 0) == 0
+        programs = self.counted_solves(monkeypatch)
+        result = nearest_quadratic(ReductionProblem(target, pruned3()))
+        assert len(programs) == 1
+        assert not any(v.startswith("src_z") for v in programs[0].variables)
+        assert result.l1_distance == 0 and result.quadratic.n_z == 0
 
 
 class TestOverestimate:
