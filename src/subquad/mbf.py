@@ -1,5 +1,4 @@
-"""Monotone Boolean functions, power-set partitions, and auxiliary-variable
-parameter vectors.
+"""Monotone Boolean functions and auxiliary-variable parameter vectors.
 
 An auxiliary variable z with non-negative couplings enters a quadratic as
 kappa(x) * z where kappa(x) = g - sum_i w_i x_i.  Its optimal state per
@@ -109,43 +108,6 @@ def prune_mbf_set(tables: list[MbfTable]) -> list[MbfTable]:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Split of the power set of {1..k} by an auxiliary variable's state.
-
-    ``b_family`` holds the labelings on which the variable is 1; it must be
-    upward closed.  The empty labeling normally sits on the off side; a
-    parameter vector with a negative constant puts it in b_family, in which
-    case the variable is constant-on and gets eliminated upstream.
-    """
-
-    k: int
-    b_family: frozenset[int]
-
-    def __post_init__(self):
-        full = (1 << self.k) - 1
-        for s in self.b_family:
-            if s & ~full:
-                raise ValueError("labeling outside the power set")
-            for i in range(self.k):
-                t = s | (1 << i)
-                if t != s and t not in self.b_family:
-                    raise ValueError("b_family must be upward closed")
-
-    @property
-    def a_family(self) -> frozenset[int]:
-        return frozenset(m for m in range(1 << self.k) if m not in self.b_family)
-
-    def as_mbf(self) -> MbfTable:
-        return MbfTable.from_function(self.k, lambda m: m in self.b_family)
-
-
-def partition_of_mbf(t: MbfTable) -> Partition:
-    if not is_monotone(t):
-        raise ValueError("only monotone tables induce partitions")
-    return Partition(t.k, frozenset(m for m in range(1 << t.k) if t.value(m)))
-
-
-@dataclass(frozen=True)
 class AvParams:
     """Constant and per-variable weights of one auxiliary variable term.
 
@@ -185,31 +147,6 @@ def partition_coefficient(p: AvParams, mask: int) -> Fraction:
 def min_contribution(p: AvParams, mask: int) -> Fraction:
     """min over z in {0,1} of partition_coefficient * z."""
     return min(Fraction(0), partition_coefficient(p, mask))
-
-
-def partition_from_params(p: AvParams) -> Partition:
-    """Labelings with strictly negative coefficient; ties stay off."""
-    fam = frozenset(m for m in range(1 << p.k) if partition_coefficient(p, m) < 0)
-    return Partition(p.k, fam)
-
-
-def forward_partition() -> Partition:
-    """k = 4 reference: on exactly when at least three variables are 1."""
-    return Partition(4, frozenset(m for m in range(16) if m.bit_count() >= 3))
-
-
-def backward_partition() -> Partition:
-    """k = 4 reference: on exactly when at least two variables are 1."""
-    return Partition(4, frozenset(m for m in range(16) if m.bit_count() >= 2))
-
-
-def is_uniform_matroid(p: Partition) -> int | None:
-    """Rank r when a_family is exactly all labelings of size <= r."""
-    if not p.a_family:
-        return None
-    r = max(m.bit_count() for m in p.a_family)
-    expected = frozenset(m for m in range(1 << p.k) if m.bit_count() <= r)
-    return r if p.a_family == expected else None
 
 
 def induced_mbf(h: QuadraticPoly, av: int) -> MbfTable:

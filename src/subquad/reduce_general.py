@@ -315,16 +315,6 @@ def nearest_quadratic(problem: ReductionProblem, progressive: bool | None = None
     return _solve(problem)
 
 
-def exact_reduce(problem: ReductionProblem) -> tuple[QuadraticPoly, int] | None:
-    """The reduction itself when one exists: a quadratic whose minimum over
-    the auxiliary block equals the target everywhere, with unused
-    auxiliaries dropped; None when the distance is positive."""
-    result = nearest_quadratic(problem)
-    if result.l1_distance != 0:
-        return None
-    return result.quadratic, result.quadratic.n_z
-
-
 def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     """Tightest one-sided fit: h dominates the target everywhere and meets
     it at the anchor labeling; minimizes the total overshoot."""

@@ -9,8 +9,8 @@ prescription is the pair of symmetric thresholds |S| >= 3 and |S| >= 2
 replacement algebra below produces, but not the whole reducible cone:
 sums carrying the two-sided interacting generator can escape it.  For
 those ``reduce_quartic`` keeps the first variable on |S| >= 3 and sweeps
-the second through its 114 singleton-free monotone patterns, with every
-other pattern pair as a fallback.  Not every submodular quartic is
+the second through its other 113 singleton-free monotone patterns, with
+every other pattern pair as a fallback.  Not every submodular quartic is
 reducible (Zivny, Cohen and Jeavons 2009, "The expressive power of binary
 submodular functions"); the tenth catalog group lies outside the class.
 A quartic with no non-negative generator decomposition is reported
@@ -26,14 +26,13 @@ two-variable count for auxiliary variables without interactions:
     bound for each threshold;
   * ``normalize_to_reference`` solves a nonsingular 5x5 system to land a
     pair-free variable exactly on the |S| >= 3 sign pattern (and checks
-    the analogous consistency for |S| >= 2);
-  * ``merge_duplicate_avs`` collapses variables with identical induced
-    partitions by adding their coefficients.
+    the analogous consistency for |S| >= 2).
 
-``reduce_av_count`` composes those steps and ends with at most two
-auxiliary variables.  Every stage re-checks min preservation on all 16
-labelings; the printed transformation tables this algebra descends from
-are incomplete for some inputs, so a small exact feasibility program
+Applied to every auxiliary of an interaction-free quadratic they leave
+variables on the two threshold patterns only, and variables on the same
+pattern add up, so two remain.  Every step re-checks min preservation on
+all 16 labelings; the printed transformation tables this algebra descends
+from are incomplete for some inputs, so a small exact feasibility program
 serves as the general fallback (and a complement reflection handles the
 inputs whose on-pairs contain a complementary pair).
 """
@@ -46,7 +45,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from . import lpsolver
-from .mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient, partition_from_params
+from .mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient
 from .oracle import verify_reduction
 from .pbf import (
     InvariantError,
@@ -101,11 +100,6 @@ class QuarticFunction:
         return QuarticFunction(self.poly.scaled(c))
 
 
-def interaction_active(mask: int) -> int:
-    """Product of the two threshold states: 1 exactly on |S| >= 3."""
-    return 1 if mask.bit_count() >= 3 else 0
-
-
 def prescribed_states(mask: int) -> tuple[int, int]:
     return (1 if mask.bit_count() >= 3 else 0, 1 if mask.bit_count() >= 2 else 0)
 
@@ -138,30 +132,6 @@ class JointQuadratic:
         object.__setattr__(self, "j12", rat(self.j12))
         if self.j12 < 0 or any(v < 0 for v in self.b_pairs.values()):
             raise ValueError("interaction and pair magnitudes must be non-negative")
-
-    def x_part(self, mask: int) -> Fraction:
-        total = self.b0
-        for i in range(4):
-            if mask >> i & 1:
-                total += self.b[i]
-        for pm, v in self.b_pairs.items():
-            if mask & pm == pm:
-                total -= v
-        return total
-
-    def evaluate(self, mask: int, z1: int, z2: int) -> Fraction:
-        total = self.x_part(mask)
-        if z1:
-            total += partition_coefficient(self.av1, mask)
-        if z2:
-            total += partition_coefficient(self.av2, mask)
-        if z1 and z2:
-            total -= self.j12
-        return total
-
-    def value_at_prescribed(self, mask: int) -> Fraction:
-        z1, z2 = prescribed_states(mask)
-        return self.evaluate(mask, z1, z2)
 
     def to_quadratic(self) -> QuadraticPoly:
         terms: dict[int, Fraction] = {0: self.b0}
@@ -416,8 +386,9 @@ def _pattern_pairs() -> list[tuple[frozenset, frozenset]]:
     """Every prescription (on1, on2) with on1 a monotone on-set of
     labelings of size >= 3 and on2 a singleton-free one: 17 x 114 = 1938
     pairs, larger on-sets first.  The 114 pairs keeping on1 on the forward
-    threshold lead, starting with the threshold pair itself; the rest are
-    a fallback that no measured reducible quartic has needed."""
+    threshold lead, starting with the threshold pair itself, which
+    ``reduce_quartic`` decides in its presolves and skips here; the rest
+    are a fallback that no measured reducible quartic has needed."""
     onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
 
     def ordered(min_size):
@@ -449,16 +420,16 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     presolves: under sign rows alone, whose point is kept only when the
     oracle accepts it, then under sign and dominance rows.  It hosts
     everything the non-interacting replacement algebra produces, but sums
-    carrying the two-sided interacting generator can escape it.  One
-    ordered sweep over prescribed state patterns (``_pattern_pairs``)
-    follows: the threshold pair under dominance rows alone, then the first
-    auxiliary held on |S| >= 3 while the second runs through its 114
-    singleton-free monotone patterns.  That costs at most 117 LP solves
-    (at most 25 on any measured reducible input) before the remaining pairs,
-    which no measured input has reached.  Right after the threshold pair
-    fails, a generator decomposition is sought; when none exists f lies
-    outside the class the replacement algebra reaches and NotRepresentable
-    is raised, after four LP solves in all.
+    carrying the two-sided interacting generator can escape it.  When both
+    presolves fail, a generator decomposition is sought; when none exists f
+    lies outside the class the replacement algebra reaches and
+    NotRepresentable is raised, after three LP solves in all.  Otherwise one
+    ordered sweep over the other prescribed state patterns
+    (``_pattern_pairs``) follows: the first auxiliary held on |S| >= 3
+    while the second runs through its other 113 singleton-free monotone
+    patterns.  That costs at most 116 LP solves (at most 24 on any measured
+    reducible input) before the remaining pairs, which no measured input
+    has reached.
     """
     if not f.is_submodular():
         raise ValueError("reduce_quartic needs a submodular quartic")
@@ -470,12 +441,21 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     joint = _try_states(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)
     if joint is not None:
         return joint
-    for n, (on1, on2) in enumerate(_pattern_pairs()):
+    if decompose_over_generators(f) is None:
+        raise NotRepresentable("no non-negative generator decomposition exists")
+    # The sweep skips its first pair, the threshold pair under dominance
+    # rows alone: that program is feasible only when the one that just
+    # failed is.  Take a point of it and move the interaction into the
+    # first constant (g1 - j12, then j12 = 0); W is unchanged at every
+    # prescribed state.  Dominance gave kappa1 <= j12 on |S| >= 3 and
+    # kappa1 >= j12 on pairs, so on every smaller set too (the weights are
+    # non-negative); likewise kappa2 <= 0 on pairs and above, >= 0 below.
+    # The moved point therefore meets the sign rows, and with no
+    # interaction left the sign rows imply dominance.
+    for on1, on2 in _pattern_pairs()[1:]:
         joint = _try_states(f, on1, on2)
         if joint is not None:
             return joint
-        if n == 0 and decompose_over_generators(f) is None:
-            raise NotRepresentable("no non-negative generator decomposition exists")
     raise lpsolver.LpInternalError(
         "decomposable quartic with no two-variable prescription in the search space"
     )
@@ -1010,111 +990,3 @@ def _reflected_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
     out = _drop_trivial(out)
     _require(_preserves_min(p, residual, out), "reflected split broke the minimum")
     return residual, out
-
-
-# ---------------------------------------------------------------------------
-# Whole-function pipeline
-
-
-def _decompose_linear_in_aux(h: QuadraticPoly) -> tuple[MultilinearPoly, list[AvParams]]:
-    k = h.n_x
-    xterms: dict[int, Fraction] = {}
-    g = [Fraction(0)] * h.n_z
-    w = [[Fraction(0)] * k for _ in range(h.n_z)]
-    for mask, coeff in h.poly.terms.items():
-        zpart = mask >> k
-        if zpart == 0:
-            xterms[mask] = coeff
-            continue
-        if zpart.bit_count() > 1:
-            raise ValueError("auxiliary variables must enter linearly")
-        a = zpart.bit_length() - 1
-        xmask = mask & ((1 << k) - 1)
-        if xmask == 0:
-            g[a] = coeff
-        elif xmask.bit_count() == 1:
-            if coeff > 0:
-                raise ValueError("positive original-to-auxiliary coupling is not submodular")
-            w[a][xmask.bit_length() - 1] = -coeff
-        else:
-            raise ValueError("degree > 2 term involving an auxiliary variable")
-    return MultilinearPoly(k, xterms), [AvParams(g[a], tuple(w[a])) for a in range(h.n_z)]
-
-
-def _build_joint(k: int, residual: MultilinearPoly, avs: list[AvParams]) -> QuadraticPoly:
-    n = k + len(avs)
-    terms = {m: c for m, c in residual.terms.items()}
-    for pos, a in enumerate(avs):
-        zbit = 1 << (k + pos)
-        if a.g:
-            terms[zbit] = a.g
-        for i in range(k):
-            if a.weights[i]:
-                terms[zbit | (1 << i)] = -a.weights[i]
-    return QuadraticPoly(MultilinearPoly(n, terms), k, len(avs))
-
-
-def merge_duplicate_avs(h: QuadraticPoly) -> QuadraticPoly:
-    """Collapse auxiliary variables with identical induced partitions by
-    adding their coefficients; sound because equal partitions mean equal
-    optimal states on every labeling."""
-    residual, avs = _decompose_linear_in_aux(h)
-    groups: dict[frozenset, AvParams] = {}
-    order = []
-    for a in avs:
-        key = partition_from_params(a).b_family
-        if key in groups:
-            prev = groups[key]
-            groups[key] = AvParams(
-                prev.g + a.g, tuple(x + y for x, y in zip(prev.weights, a.weights))
-            )
-        else:
-            groups[key] = a
-            order.append(key)
-    merged = [groups[key] for key in order]
-    out = _build_joint(h.n_x, residual, merged)
-    _require(
-        all(out.min_over_aux(x)[0] == h.min_over_aux(x)[0] for x in range(1 << h.n_x)),
-        "merging auxiliaries broke the minimum",
-    )
-    return out
-
-
-def reduce_av_count(h: QuadraticPoly) -> QuadraticPoly:
-    """Rewrite an interaction-free quadratic so at most two auxiliary
-    variables remain, one per threshold pattern; min over the auxiliary
-    block is preserved on every original labeling."""
-    if h.n_x != 4:
-        raise ValueError("the pipeline is specific to 4 original variables")
-    residual, avs = _decompose_linear_in_aux(h)
-    forward: list[AvParams] = []
-    backward: list[AvParams] = []
-    for p in avs:
-        res1, p1 = remove_singletons(p)
-        residual = residual + res1
-        if p1 is None:
-            continue
-        res2, parts = case_split(p1)
-        residual = residual + res2
-        for a in parts:
-            if all(partition_coefficient(a, pm) >= 0 for pm in PAIR_MASKS):
-                forward.append(normalize_to_reference(a, "forward"))
-            else:
-                backward.append(normalize_to_reference(a, "backward"))
-    final = []
-    for group in (forward, backward):
-        if not group:
-            continue
-        total = group[0]
-        for a in group[1:]:
-            total = AvParams(
-                total.g + a.g, tuple(x + y for x, y in zip(total.weights, a.weights))
-            )
-        if any(min_contribution(total, m) != 0 for m in range(16)):
-            final.append(total)
-    out = _build_joint(4, residual, final)
-    _require(
-        all(out.min_over_aux(x)[0] == h.min_over_aux(x)[0] for x in range(16)),
-        "pipeline broke the minimum",
-    )
-    return out

@@ -5,18 +5,12 @@ import pytest
 
 from subquad.mbf import (
     DEDEKIND,
-    AvParams,
     MbfTable,
-    Partition,
-    backward_partition,
     enumerate_mbfs,
-    forward_partition,
     induced_mbf,
     is_monotone,
-    is_uniform_matroid,
     min_contribution,
     partition_coefficient,
-    partition_from_params,
     prune_mbf_set,
 )
 from subquad.pbf import MultilinearPoly, QuadraticPoly
@@ -65,43 +59,7 @@ class TestEnumeration:
         assert len(prune_mbf_set(enumerate_mbfs(k))) == kept
 
 
-class TestPartitions:
-    def test_upward_closure_enforced(self):
-        with pytest.raises(ValueError):
-            Partition(2, frozenset({0b01}))
-        Partition(2, frozenset({0b01, 0b11}))
-
-    def test_from_params_fig3_shape(self):
-        # weights (4,1,1,1) with constant 3: strictly negative exactly on
-        # {1} and its supersets; the {2,3,4} labeling ties at zero and
-        # stays off.
-        p = partition_from_params(AvParams.of(3, (4, 1, 1, 1)))
-        expected = {m for m in range(16) if m & 1} | set()
-        assert p.b_family == frozenset(expected)
-        assert partition_coefficient(AvParams.of(3, (4, 1, 1, 1)), 0b1110) == 0
-
-    def test_from_params_all_positive(self):
-        p = partition_from_params(AvParams.of(1, (0, 0, 0, 0)))
-        assert p.b_family == frozenset()
-
-    def test_from_params_kappa_positive_everywhere(self):
-        p = partition_from_params(AvParams.of(6, (1, 1, 1, 1)))
-        assert p.b_family == frozenset()
-
-    def test_upward_closed_for_random_params(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            p = partition_from_params(random_av_params(rng))
-            for s in p.b_family:
-                for i in range(4):
-                    assert s | (1 << i) in p.b_family
-
-    def test_forward_backward(self):
-        fwd, bwd = forward_partition(), backward_partition()
-        assert len(fwd.b_family) == 5
-        assert len(bwd.b_family) == 11
-        assert fwd.b_family < bwd.b_family
-
+class TestComplementaryPairs:
     def test_complementary_pair_sum_identity(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -119,19 +77,6 @@ class TestPartitions:
                   if partition_coefficient(p, pm) <= 0 and partition_coefficient(p, 0b1111 ^ pm) <= 0]
             if on:
                 assert total <= 0
-
-
-class TestUniformMatroid:
-    def test_forward_rank_two(self):
-        assert is_uniform_matroid(forward_partition()) == 2
-
-    def test_backward_rank_one(self):
-        assert is_uniform_matroid(backward_partition()) == 1
-
-    def test_counterexample_family(self):
-        a = {0, 0b0001, 0b0010, 0b0100, 0b1000, 0b1100}
-        b = frozenset(m for m in range(16) if m not in a)
-        assert is_uniform_matroid(Partition(4, b)) is None
 
 
 class TestInducedMbf:

@@ -13,12 +13,11 @@ from subquad.reduce_general import (
     _column_count,
     _solve,
     build_reduction_lp,
-    exact_reduce,
     nearest_quadratic,
     overestimate,
 )
 from subquad import lpsolver
-from subquad.reduce_quartic import generator_catalog
+from subquad.reduce_quartic import generator_catalog, generator_patterns
 
 from _gen import random_submodular_cubic, random_submodular_quadratic
 
@@ -99,20 +98,20 @@ class TestExactCases:
         # quadratics: nothing reaches the LP distance's lower side
         assert result.l1_distance == sum(abs(g) for g in result.per_labeling_gap.values())
 
-    def test_exact_reduce_f2_zero_avs(self):
+    def test_exact_fit_f2_zero_avs(self):
         target = MultilinearPoly.from_terms(2, [((1, 2), -1)])
-        got = exact_reduce(ReductionProblem(target, (MbfTable.threshold(2, 2),)))
-        assert got is not None
-        quadratic, avs = got
-        assert avs == 0
+        result = nearest_quadratic(ReductionProblem(target, (MbfTable.threshold(2, 2),)))
+        assert result.l1_distance == 0
+        assert result.quadratic.n_z == 0
 
-    def test_exact_reduce_neg_cube_present(self):
-        got = exact_reduce(ReductionProblem(NEG_CUBE, pruned3()))
-        assert got is not None
+    def test_exact_fit_neg_cube_present(self):
+        result = nearest_quadratic(ReductionProblem(NEG_CUBE, pruned3()))
+        assert result.l1_distance == 0
 
-    def test_exact_reduce_supermodular_absent(self):
+    def test_exact_fit_supermodular_absent(self):
         target = MultilinearPoly.from_terms(2, [((1, 2), 1)])
-        assert exact_reduce(ReductionProblem(target, (MbfTable.threshold(2, 2),))) is None
+        result = nearest_quadratic(ReductionProblem(target, (MbfTable.threshold(2, 2),)))
+        assert result.l1_distance > 0
 
     def test_g10_on_generator_pair_positive_distance(self):
         g10 = MultilinearPoly.from_terms(
@@ -131,6 +130,20 @@ class TestExactCases:
         tables = (MbfTable.threshold(4, 3), MbfTable.threshold(4, 2))
         result = nearest_quadratic(ReductionProblem(g10, tables), progressive=False)
         assert result.l1_distance > 0
+
+    @pytest.mark.parametrize("pattern", generator_patterns(9), ids=lambda p: "".join(map(str, p)))
+    def test_g9_fit_needs_the_auxiliary_coupling(self, pattern):
+        # G9's closed form couples its two auxiliaries (-z1 z2).  With the
+        # state tables it induces, the program finds an exact fit only
+        # through its auxiliary-to-auxiliary capacity: with that capacity
+        # held at 0 the distance is 1 on every pattern.
+        f, h = generator_catalog(9, pattern)
+        tables = (induced_mbf(h, 5), induced_mbf(h, 6))
+        problem = ReductionProblem(f.poly, tables, allow_degenerate=True)
+        assert nearest_quadratic(problem, progressive=False).l1_distance == 0
+        lp = build_reduction_lp(problem)
+        lp.add_constraint({"zz_2_1": 1}, "<=", 0)
+        assert lpsolver.solve(lp).objective_value == 1
 
 
 class TestSoundness:

@@ -12,7 +12,7 @@ from subquad import lpsolver
 from subquad import reduce_quartic as rq
 from subquad.mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient
 from subquad.oracle import verify_reduction
-from subquad.pbf import MultilinearPoly, QuadraticPoly
+from subquad.pbf import MultilinearPoly
 from subquad.reduce_quartic import (
     BACKWARD_SET,
     FORWARD_SET,
@@ -27,34 +27,20 @@ from subquad.reduce_quartic import (
     decompose_over_generators,
     generator_catalog,
     generator_patterns,
-    interaction_active,
     matrix_determinant,
-    merge_duplicate_avs,
     nearest_quartic,
     normalize_to_reference,
-    reduce_av_count,
     reduce_quartic,
     reference_system_matrix,
     remove_singletons,
 )
 from subquad.reduce_quartic import _pattern_pairs, _preserves_min, _states_lp
 
-from _gen import random_av_params, random_generator_combination, random_multi_av_quadratic
+from _gen import random_av_params, random_generator_combination
 
 
 def P(g, w):
     return AvParams.of(g, w)
-
-
-class TestInteraction:
-    def test_triple_active(self):
-        assert interaction_active(0b0111) == 1
-
-    def test_pair_inactive(self):
-        assert interaction_active(0b0011) == 0
-
-    def test_empty_inactive(self):
-        assert interaction_active(0) == 0
 
 
 class TestRemoveSingletons:
@@ -196,64 +182,6 @@ class TestNormalize:
             done += 1
 
 
-class TestMergeAndPipeline:
-    def test_merge_two_copies_of_same_av(self):
-        # two copies of the |S| >= 2 auxiliary: coefficients add up
-        base = P(1, (1, 1, 1, 1))
-        terms = {}
-        for zbit in (1 << 4, 1 << 5):
-            terms[zbit] = base.g
-            for i in range(4):
-                terms[zbit | (1 << i)] = -base.weights[i]
-        h = QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
-        out = merge_duplicate_avs(h)
-        assert out.n_z == 1
-        assert out.poly.terms[1 << 4] == 2
-        assert all(out.poly.terms[(1 << 4) | (1 << i)] == -2 for i in range(4))
-
-    def test_merge_keeps_distinct_partitions(self):
-        terms = {
-            1 << 4: Fraction(1),
-            (1 << 4) | 1: Fraction(-2),
-            1 << 5: Fraction(1),
-            (1 << 5) | 2: Fraction(-2),
-        }
-        h = QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
-        assert merge_duplicate_avs(h).n_z == 2
-
-    def test_merge_rejects_interactions(self):
-        terms = {(1 << 4) | (1 << 5): Fraction(-1)}
-        h = QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
-        with pytest.raises(ValueError):
-            merge_duplicate_avs(h)
-
-    def test_reduce_av_count_randomized(self):
-        rng = random.Random(10)
-        for _ in range(40):
-            h = random_multi_av_quadratic(rng, rng.randint(0, 5))
-            out = reduce_av_count(h)
-            assert out.n_z <= 2
-            for x in range(16):
-                assert out.min_over_aux(x)[0] == h.min_over_aux(x)[0]
-
-    def test_reduce_av_count_forward_only(self):
-        parts = [P(2, (1, 1, 1, 1)), P(5, (2, 2, 2, 2))]
-        terms = {}
-        for pos, a in enumerate(parts):
-            zbit = 1 << (4 + pos)
-            terms[zbit] = a.g
-            for i in range(4):
-                terms[zbit | (1 << i)] = -a.weights[i]
-        h = QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
-        out = reduce_av_count(h)
-        assert out.n_z == 1
-
-    def test_reduce_av_count_no_avs(self):
-        h = QuadraticPoly(MultilinearPoly.from_terms(4, [((1, 2), -1)]), 4, 0)
-        out = reduce_av_count(h)
-        assert out.n_z == 0 and out.poly == h.poly
-
-
 class TestCatalog:
     @pytest.mark.parametrize("group", range(1, 10))
     def test_rows_verify(self, group):
@@ -310,11 +238,12 @@ class TestReduceQuartic:
         with pytest.raises(ValueError):
             reduce_quartic(QuarticFunction.from_terms([((1, 2), 1)]))
 
-    def test_value_at_prescribed_states_matches_target(self):
+    def test_prescribed_states_reproduce_target(self):
         f, _ = generator_catalog(4, (1, 2, 3, 4))
-        joint = reduce_quartic(f)
+        h = reduce_quartic(f).to_quadratic()
         for mask in range(16):
-            assert joint.value_at_prescribed(mask) == f.value(mask)
+            z = (mask.bit_count() >= 3) | (mask.bit_count() >= 2) << 1
+            assert h.evaluate(mask, z) == f.value(mask)
 
     def test_g9_plus_g6_representable(self):
         f9, _ = generator_catalog(9, (1, 2, 3, 4))
@@ -354,6 +283,17 @@ class TestReduceQuartic:
             f = random_generator_combination(rng)
             joint = reduce_quartic(f)
             assert verify_reduction(f.poly, joint.to_quadratic()).passed
+
+    def test_used_auxiliaries_on_criterion_10_stream(self):
+        # Criterion 10 counts two auxiliaries per clique by construction;
+        # on the same stream, count the ones each reduction really uses.
+        rng = random.Random(101)
+        used = []
+        for _ in range(100):
+            f = random_generator_combination(rng, max_parts=3)
+            used.append(reduce_quartic(f).to_quadratic().drop_unused_aux().n_z)
+        assert max(used) <= 2
+        assert sum(used) == 130
 
 
 def _program_digest(programs) -> str:
@@ -414,18 +354,33 @@ class TestSearchPrograms:
         calls = []
         monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
         joint = reduce_quartic(f)
-        # two presolves, one decomposition, 114 forward-threshold pairs
-        assert len(calls) <= 117
+        # two presolves, one decomposition, 113 further forward-threshold pairs
+        assert len(calls) <= 116
         assert verify_reduction(f.poly, joint.to_quadratic()).passed
 
-    def test_not_representable_costs_four_solves(self, monkeypatch):
+    def test_not_representable_costs_three_solves(self, monkeypatch):
         f, _ = generator_catalog(10, (1, 2, 3, 4))
         solve = lpsolver.solve
         calls = []
         monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
         with pytest.raises(NotRepresentable):
             reduce_quartic(f)
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+    def test_dominance_alone_decides_threshold_pair_like_sign_rows(self):
+        # reduce_quartic skips the threshold pair in its sweep because the
+        # program with dominance rows alone is feasible exactly when the
+        # one with sign rows as well is (the argument is in its comment).
+        rng = random.Random(61)
+        cliques = [random_generator_combination(rng) for _ in range(100)]
+        cliques += [generator_catalog(10, p)[0] for p in generator_patterns(10)]
+        statuses = []
+        for f in cliques:
+            with_sign = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)).status
+            alone = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET)).status
+            assert with_sign == alone
+            statuses.append(alone)
+        assert {lpsolver.OPTIMAL, lpsolver.INFEASIBLE} <= set(statuses)
 
     def test_failing_dominance_point_raises(self, monkeypatch):
         # A point that satisfies the dominance rows but fails the oracle
