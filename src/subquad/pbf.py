@@ -249,12 +249,6 @@ class MultilinearPoly:
             raise ValueError("cannot shrink below the support")
         return MultilinearPoly(n_vars, dict(self.terms))
 
-    def substitute_complement(self) -> "MultilinearPoly":
-        """The polynomial q with q(x) = p(1-x_1, ..., 1-x_n)."""
-        vals = self.evaluate_all()
-        full = (1 << self.n_vars) - 1
-        return MultilinearPoly.from_values(self.n_vars, [vals[full ^ m] for m in range(len(vals))])
-
     def scaled(self, c) -> "MultilinearPoly":
         c = rat(c)
         return MultilinearPoly(self.n_vars, {m: c * v for m, v in self.terms.items()})

@@ -296,7 +296,7 @@ def _candidate_subsets(problem: ReductionProblem):
         yield tuple(hinted[:2])
 
 
-def nearest_quadratic(problem: ReductionProblem, progressive: bool | None = None) -> ReductionResult:
+def nearest_quadratic(problem: ReductionProblem) -> ReductionResult:
     """L1-closest constrained quadratic; exact optimum.
 
     With a large table set, subsets are tried first and an exact fit on a
@@ -304,9 +304,7 @@ def nearest_quadratic(problem: ReductionProblem, progressive: bool | None = None
     zero).  Anything short of zero falls back to the full program.
     """
     _check_size(problem)
-    if progressive is None:
-        progressive = len(problem.mbf_set) > PROGRESSIVE_THRESHOLD
-    if progressive and problem.mbf_set:
+    if len(problem.mbf_set) > PROGRESSIVE_THRESHOLD:
         for subset in _candidate_subsets(problem):
             sub = ReductionProblem(problem.target, subset, allow_degenerate=True)
             result = _solve(sub)

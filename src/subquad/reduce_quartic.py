@@ -31,10 +31,10 @@ two-variable count for auxiliary variables without interactions:
 Applied to every auxiliary of an interaction-free quadratic they leave
 variables on the two threshold patterns only, and variables on the same
 pattern add up, so two remain.  Every step re-checks min preservation on
-all 16 labelings; the printed transformation tables this algebra descends
-from are incomplete for some inputs, so a small exact feasibility program
-serves as the general fallback (and a complement reflection handles the
-inputs whose on-pairs contain a complementary pair).
+all 16 labelings.  The printed transformation tables this algebra descends
+from are incomplete for some inputs (every input whose on-pairs hold a
+complementary pair, among others), so one small exact feasibility program
+serves as the fallback.
 """
 
 from __future__ import annotations
@@ -337,19 +337,14 @@ def _assemble(f: QuarticFunction, values: dict[str, Fraction], on1=FORWARD_SET, 
     )
 
 
+@cache
 def _generator_instances():
-    global _INSTANCES
-    if _INSTANCES is None:
-        out = []
-        for group in range(1, 10):
-            for pattern in generator_patterns(group):
-                fi, _ = generator_catalog(group, pattern)
-                out.append((group, pattern, fi))
-        _INSTANCES = out
-    return _INSTANCES
-
-
-_INSTANCES = None
+    out = []
+    for group in range(1, 10):
+        for pattern in generator_patterns(group):
+            fi, _ = generator_catalog(group, pattern)
+            out.append((group, pattern, fi))
+    return out
 
 
 def decompose_over_generators(f: QuarticFunction) -> list[tuple[int, tuple, Fraction]] | None:
@@ -418,18 +413,19 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
 
     The threshold prescription (|S| >= 3, |S| >= 2) is tried first, as two
     presolves: under sign rows alone, whose point is kept only when the
-    oracle accepts it, then under sign and dominance rows.  It hosts
-    everything the non-interacting replacement algebra produces, but sums
-    carrying the two-sided interacting generator can escape it.  When both
-    presolves fail, a generator decomposition is sought; when none exists f
-    lies outside the class the replacement algebra reaches and
-    NotRepresentable is raised, after three LP solves in all.  Otherwise one
-    ordered sweep over the other prescribed state patterns
-    (``_pattern_pairs``) follows: the first auxiliary held on |S| >= 3
-    while the second runs through its other 113 singleton-free monotone
-    patterns.  That costs at most 116 LP solves (at most 24 on any measured
-    reducible input) before the remaining pairs, which no measured input
-    has reached.
+    oracle accepts it, then under sign and dominance rows, which is skipped
+    when the first program is infeasible.  It hosts everything the
+    non-interacting replacement algebra produces, but sums carrying the
+    two-sided interacting generator can escape it.  When the presolves
+    fail, a generator decomposition is sought; when none exists f lies
+    outside the class the replacement algebra reaches and NotRepresentable
+    is raised, after two LP solves in all when the first presolve was
+    infeasible.  Otherwise one ordered sweep over the other prescribed
+    state patterns (``_pattern_pairs``) follows: the first auxiliary held
+    on |S| >= 3 while the second runs through its other 113 singleton-free
+    monotone patterns.  That costs at most 116 LP solves (at most 23 on any
+    measured reducible input) before the remaining pairs, which no measured
+    input has reached.
     """
     if not f.is_submodular():
         raise ValueError("reduce_quartic needs a submodular quartic")
@@ -438,20 +434,23 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
         joint = _assemble(f, sol.values)
         if verify_reduction(f.poly, joint.to_quadratic()).passed:
             return joint
-    joint = _try_states(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)
-    if joint is not None:
-        return joint
+        # The second presolve adds dominance rows to the first one's rows,
+        # so it can only be feasible when the first one is.
+        joint = _try_states(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)
+        if joint is not None:
+            return joint
     if decompose_over_generators(f) is None:
         raise NotRepresentable("no non-negative generator decomposition exists")
     # The sweep skips its first pair, the threshold pair under dominance
-    # rows alone: that program is feasible only when the one that just
-    # failed is.  Take a point of it and move the interaction into the
-    # first constant (g1 - j12, then j12 = 0); W is unchanged at every
-    # prescribed state.  Dominance gave kappa1 <= j12 on |S| >= 3 and
-    # kappa1 >= j12 on pairs, so on every smaller set too (the weights are
-    # non-negative); likewise kappa2 <= 0 on pairs and above, >= 0 below.
-    # The moved point therefore meets the sign rows, and with no
-    # interaction left the sign rows imply dominance.
+    # rows alone: that program is feasible only when the one with sign rows
+    # as well is, and that one is infeasible by now (solved, or implied by
+    # the infeasible first presolve).  Take a point of it and move the
+    # interaction into the first constant (g1 - j12, then j12 = 0); W is
+    # unchanged at every prescribed state.  Dominance gave kappa1 <= j12 on
+    # |S| >= 3 and kappa1 >= j12 on pairs, so on every smaller set too (the
+    # weights are non-negative); likewise kappa2 <= 0 on pairs and above,
+    # >= 0 below.  The moved point therefore meets the sign rows, and with
+    # no interaction left the sign rows imply dominance.
     for on1, on2 in _pattern_pairs()[1:]:
         joint = _try_states(f, on1, on2)
         if joint is not None:
@@ -728,11 +727,6 @@ def _pair_kappas(p: AvParams) -> dict[int, Fraction]:
     return {pm: partition_coefficient(p, pm) for pm in PAIR_MASKS}
 
 
-def _has_complementary_pair(pair_masks) -> bool:
-    s = set(pair_masks)
-    return any(FULL4 ^ pm in s for pm in s)
-
-
 def _case_one(p: AvParams, pm: int):
     i, j = indices_of(pm)
     kij = partition_coefficient(p, pm)
@@ -857,10 +851,10 @@ def _apply_shape(p: AvParams, shape: tuple[int, ...]):
     return None
 
 
-def _split_lp(p: AvParams, t_negatives: tuple[int, ...]):
+def _split_lp(p: AvParams):
     """Exact search for residual-pair magnitudes plus one variable bound to
-    each threshold; t_negatives fixes which size >= 3 labelings the forward
-    variable is allowed to act on."""
+    each threshold: the forward one may act on every size >= 3 labeling,
+    the backward one on every pair labeling and above."""
     lp = lpsolver.LinearProgram()
     for pm in PAIR_MASKS:
         lp.add_variable(f"rho_{pm}")
@@ -891,8 +885,7 @@ def _split_lp(p: AvParams, t_negatives: tuple[int, ...]):
         lp.add_constraint(kr(1 << e), ">=", 0)
         lp.add_constraint(kt(1 << e), ">=", 0)
     for top in TRIPLES + (FULL4,):
-        rel = "<=" if top in t_negatives else ">="
-        lp.add_constraint(kt(top), rel, 0)
+        lp.add_constraint(kt(top), "<=", 0)
 
     for pm in PAIR_MASKS:
         row = dict(kr(pm))
@@ -900,9 +893,8 @@ def _split_lp(p: AvParams, t_negatives: tuple[int, ...]):
         lp.add_constraint(row, "==", min_contribution(p, pm))
     for top in TRIPLES + (FULL4,):
         row = dict(kr(top))
-        if top in t_negatives:
-            for name, c in kt(top).items():
-                row[name] = row.get(name, Fraction(0)) + c
+        for name, c in kt(top).items():
+            row[name] = row.get(name, Fraction(0)) + c
         for pm in PAIR_MASKS:
             if pm & top == pm:
                 row[f"rho_{pm}"] = row.get(f"rho_{pm}", Fraction(0)) - 1
@@ -913,13 +905,10 @@ def _split_lp(p: AvParams, t_negatives: tuple[int, ...]):
     if sol.status != lpsolver.OPTIMAL:
         return None
     residual = MultilinearPoly(4, {pm: -sol.values[f"rho_{pm}"] for pm in PAIR_MASKS})
-    avs = []
-    for prefix in ("t", "r"):
-        a = AvParams(
-            sol.values[f"g{prefix}"], tuple(sol.values[f"w{prefix}_{i}"] for i in range(4))
-        )
-        if any(min_contribution(a, m) != 0 for m in range(16)):
-            avs.append(a)
+    avs = [
+        AvParams(sol.values[f"g{prefix}"], tuple(sol.values[f"w{prefix}_{i}"] for i in range(4)))
+        for prefix in ("t", "r")
+    ]
     return residual, avs
 
 
@@ -930,11 +919,10 @@ def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
     coefficient is non-negative (feeds the forward normalization) or every
     one is non-positive (already on the size-2 sign pattern).  Dispatch
     tries the printed single-pair / adjacent / star / triangle
-    transformations first, widening the on-pair set across ties; those
-    tables do not cover every valid input, so failures fall through to an
-    exact feasibility search, and an input whose on pairs contain a
-    complementary pair is handled through the complement reflection, which
-    provably lands back in the table-shaped regime.
+    transformations first, widening the on-pair set across ties.  Those
+    tables do not cover every valid input (no table shape holds a
+    complementary pair of on-pairs, for one), so a miss falls through to
+    one exact feasibility program with a forward and a backward variable.
     """
     if p.k != 4:
         raise ValueError("the replacement algebra is specific to 4 variables")
@@ -946,47 +934,16 @@ def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
     if not neg or all(v <= 0 for v in kappas.values()):
         return MultilinearPoly.zero(4), _drop_trivial([p])
 
-    if _has_complementary_pair(neg):
-        return _reflected_split(p)
-
     for shape in _shape_candidates(neg, zero):
         out = _apply_shape(p, shape)
         if out is not None and _preserves_min(p, *out):
             return out[0], _drop_trivial(out[1])
 
-    tops = TRIPLES + (FULL4,)
-    for keep_size in range(len(tops), -1, -1):
-        for t_negatives in combinations(tops, keep_size):
-            out = _split_lp(p, t_negatives)
-            if out is not None and _preserves_min(p, *out):
-                return out[0], _drop_trivial(out[1])
+    out = _split_lp(p)
+    if out is not None and _preserves_min(p, *out):
+        return out[0], _drop_trivial(out[1])
     raise ForbiddenConfiguration(f"no decomposition found for {p}")
 
 
 def _drop_trivial(avs: list[AvParams]) -> list[AvParams]:
     return [a for a in avs if any(min_contribution(a, m) != 0 for m in range(16))]
-
-
-def _reflected_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
-    # min(0, coeff(p, S)) = coeff-poly(p)(S) + min(0, coeff(refl, S-complement))
-    # and the reflected instance has no complementary on-pair, so it takes
-    # the table path.  Forward-side outputs are normalized before
-    # reflecting back: that pins their size >= 3 coefficients non-positive,
-    # which the reflection turns into the singleton-free guarantee.
-    total = sum(p.weights, Fraction(0))
-    refl = AvParams(total - p.g, p.weights)
-    sub_res, sub_avs = case_split(refl)
-    _require(
-        not _has_complementary_pair([pm for pm in PAIR_MASKS if partition_coefficient(refl, pm) < 0]),
-        "reflection kept a complementary on-pair",
-    )
-    residual = _kappa_poly(p) + sub_res.substitute_complement()
-    out = []
-    for a in sub_avs:
-        if all(partition_coefficient(a, pm) >= 0 for pm in PAIR_MASKS):
-            a = normalize_to_reference(a, "forward")
-        residual = residual + _kappa_poly(a).substitute_complement()
-        out.append(AvParams(sum(a.weights, Fraction(0)) - a.g, a.weights))
-    out = _drop_trivial(out)
-    _require(_preserves_min(p, residual, out), "reflected split broke the minimum")
-    return residual, out

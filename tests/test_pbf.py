@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subquad.pbf import (
     MultilinearPoly,
@@ -22,6 +25,26 @@ from _gen import random_submodular_quadratic
 
 G6 = MultilinearPoly.from_terms(3, [((1, 2, 3), 1), ((1, 2), -1), ((1, 3), -1), ((2, 3), -1)])
 NEG_QUARTIC = MultilinearPoly.from_terms(4, [((1, 2, 3, 4), -1)])
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+@st.composite
+def polynomials(draw):
+    n = draw(st.integers(0, 8))
+    return MultilinearPoly(n, draw(st.dictionaries(st.integers(0, (1 << n) - 1), rationals, max_size=24)))
+
+
+@st.composite
+def submodular_quadratics(draw):
+    n_x, n_z = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    n = n_x + n_z
+    terms = {0: draw(rationals)}
+    for i in range(n):
+        terms[1 << i] = draw(rationals)
+    for i, j in combinations(range(n), 2):
+        terms[1 << i | 1 << j] = -abs(draw(rationals))
+    return QuadraticPoly(MultilinearPoly(n, terms), n_x, n_z)
 
 
 class TestEvaluate:
@@ -209,6 +232,11 @@ class TestCapacityForm:
             back = from_capacity_form(cf)
             assert back.poly == h.poly
 
+    @settings(max_examples=300)
+    @given(submodular_quadratics())
+    def test_round_trip_property(self, h):
+        assert from_capacity_form(to_capacity_form(h)).poly == h.poly
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -218,6 +246,11 @@ class TestTextFormat:
         assert f.coefficient((2,)) == Fraction(1, 2)
         assert f.coefficient(()) == 5
         assert parse_polynomial(format_polynomial(f)) == f
+
+    @settings(max_examples=300)
+    @given(polynomials())
+    def test_round_trip_property(self, p):
+        assert parse_polynomial(format_polynomial(p), p.n_vars) == p
 
     def test_duplicates_sum(self):
         f = parse_polynomial("1 : 1 2\n1/3 : 2 1\n")

@@ -72,7 +72,7 @@ class TestProblemValidation:
         assert _column_count(4, len(problem.mbf_set)) > MAX_COLUMNS
         start = time.monotonic()
         with pytest.raises(ValueError, match="--mbfs generators"):
-            nearest_quadratic(problem, progressive=False)
+            build_reduction_lp(problem)
         assert time.monotonic() - start < 5.0
 
 
@@ -92,7 +92,7 @@ class TestExactCases:
 
     def test_supermodular_cube_has_positive_distance(self):
         sup = MultilinearPoly.from_terms(3, [((1, 2, 3), 1)])
-        result = nearest_quadratic(ReductionProblem(sup, (AND3, MAJ3)), progressive=False)
+        result = nearest_quadratic(ReductionProblem(sup, (AND3, MAJ3)))
         assert result.l1_distance > 0
         # cross-check against an exhaustive search over tiny integer-capacity
         # quadratics: nothing reaches the LP distance's lower side
@@ -128,7 +128,7 @@ class TestExactCases:
             ],
         )
         tables = (MbfTable.threshold(4, 3), MbfTable.threshold(4, 2))
-        result = nearest_quadratic(ReductionProblem(g10, tables), progressive=False)
+        result = nearest_quadratic(ReductionProblem(g10, tables))
         assert result.l1_distance > 0
 
     @pytest.mark.parametrize("pattern", generator_patterns(9), ids=lambda p: "".join(map(str, p)))
@@ -140,7 +140,7 @@ class TestExactCases:
         f, h = generator_catalog(9, pattern)
         tables = (induced_mbf(h, 5), induced_mbf(h, 6))
         problem = ReductionProblem(f.poly, tables, allow_degenerate=True)
-        assert nearest_quadratic(problem, progressive=False).l1_distance == 0
+        assert nearest_quadratic(problem).l1_distance == 0
         lp = build_reduction_lp(problem)
         lp.add_constraint({"zz_2_1": 1}, "<=", 0)
         assert lpsolver.solve(lp).objective_value == 1
@@ -168,7 +168,7 @@ class TestSoundness:
             problem = ReductionProblem(f, (AND3, MAJ3))
             lp = build_reduction_lp(problem)
             sol = lpsolver.solve(lp)
-            result = nearest_quadratic(problem, progressive=False)
+            result = nearest_quadratic(problem)
             assert sol.status == lpsolver.OPTIMAL
             assert result.l1_distance == sol.objective_value
 
@@ -181,9 +181,7 @@ class TestSoundness:
             )
             prev = None
             for size in (0, 1, 2, 3):
-                result = nearest_quadratic(
-                    ReductionProblem(f, tables[:size]), progressive=False
-                )
+                result = nearest_quadratic(ReductionProblem(f, tables[:size]))
                 if prev is not None:
                     assert result.l1_distance <= prev
                 prev = result.l1_distance
