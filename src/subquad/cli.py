@@ -48,15 +48,14 @@ def _label(mask: int) -> str:
     return ",".join(map(str, indices_of(mask))) or "-"
 
 
-def _mbf_choice(spec: str, k: int) -> tuple[tuple[MbfTable, ...], bool]:
-    """Returns (tables, allow_degenerate)."""
+def _mbf_choice(spec: str, k: int) -> tuple[MbfTable, ...]:
     if spec == "all":
-        return tuple(enumerate_mbfs(k)), True
+        return tuple(enumerate_mbfs(k))
     if spec == "pruned":
-        return tuple(prune_mbf_set(enumerate_mbfs(k))), False
+        return tuple(prune_mbf_set(enumerate_mbfs(k)))
     if spec == "generators":
         rs = range(2, k) if k >= 3 else (2,)
-        return tuple(MbfTable.threshold(k, r) for r in rs), False
+        return tuple(MbfTable.threshold(k, r) for r in rs)
     with open(spec, "r", encoding="utf-8") as fh:
         tables = []
         for line in fh:
@@ -70,7 +69,7 @@ def _mbf_choice(spec: str, k: int) -> tuple[tuple[MbfTable, ...], bool]:
                 if ch == "1":
                     bits |= 1 << mask
             tables.append(MbfTable(k, bits))
-    return tuple(tables), True
+    return tuple(tables)
 
 
 def _default_mbfs(k: int) -> str:
@@ -106,8 +105,7 @@ def _cmd_minimize(args) -> int:
 def _problem_from_args(args) -> ReductionProblem:
     target = _read_poly(args.file, args.k)
     spec = args.mbfs or _default_mbfs(args.k)
-    tables, allow = _mbf_choice(spec, args.k)
-    return ReductionProblem(target, tables, allow_degenerate=allow)
+    return ReductionProblem(target, _mbf_choice(spec, args.k))
 
 
 def _cmd_reduce(args) -> int:

@@ -46,20 +46,11 @@ class ReductionProblem:
 
     target: MultilinearPoly
     mbf_set: tuple[MbfTable, ...]
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "mbf_set", tuple(self.mbf_set))
         k = self.target.n_vars
         seen = set()
-        full = (1 << (1 << k)) - 1
-        projections = set()
-        for i in range(k):
-            bits = 0
-            for m in range(1 << k):
-                if m >> i & 1:
-                    bits |= 1 << m
-            projections.add(bits)
         for t in self.mbf_set:
             if t.k != k:
                 raise ValueError("every table must match the target's variable count")
@@ -68,11 +59,6 @@ class ReductionProblem:
             if t.bits in seen:
                 raise ValueError("duplicate table in mbf_set")
             seen.add(t.bits)
-            if not self.allow_degenerate and (t.bits in (0, full) or t.bits in projections):
-                raise ValueError(
-                    "constant and single-variable tables add nothing; "
-                    "pass allow_degenerate=True to keep them"
-                )
 
     @property
     def k(self) -> int:
@@ -247,22 +233,25 @@ def _capacity_from_solution(problem: ReductionProblem, values: dict[str, Fractio
     return CapacityForm(k, M, values["c0"], src, sink, pairs)
 
 
-def _solve(problem: ReductionProblem) -> ReductionResult:
-    lp = build_reduction_lp(problem)
-    sol = lpsolver.solve(lp)
-    if sol.status != lpsolver.OPTIMAL:
-        raise lpsolver.LpInternalError(f"reduction program reported {sol.status}")
-    quadratic = from_capacity_form(_capacity_from_solution(problem, sol.values))
-    quadratic = quadratic.drop_unused_aux()
+def _result(problem: ReductionProblem, sol: lpsolver.LpSolution) -> ReductionResult:
+    """The quadratic at an optimal point, with its gaps recomputed by the
+    oracle; their total must equal the program objective."""
+    quadratic = from_capacity_form(_capacity_from_solution(problem, sol.values)).drop_unused_aux()
     report = verify_reduction(problem.target, quadratic)
-    gaps = report.gaps
-    distance = sum((abs(v) for v in gaps.values()), Fraction(0))
+    distance = sum((abs(v) for v in report.gaps.values()), Fraction(0))
     if distance != sol.objective_value:
         raise lpsolver.LpInternalError(
             "oracle gap total disagrees with the program objective; "
             "the tightness block failed to pin the auxiliary minima"
         )
-    return ReductionResult(quadratic, distance, gaps, report)
+    return ReductionResult(quadratic, distance, report.gaps, report)
+
+
+def _solve(problem: ReductionProblem) -> ReductionResult:
+    sol = lpsolver.solve(build_reduction_lp(problem))
+    if sol.status != lpsolver.OPTIMAL:
+        raise lpsolver.LpInternalError(f"reduction program reported {sol.status}")
+    return _result(problem, sol)
 
 
 def _candidate_subsets(problem: ReductionProblem):
@@ -306,7 +295,7 @@ def nearest_quadratic(problem: ReductionProblem) -> ReductionResult:
     _check_size(problem)
     if len(problem.mbf_set) > PROGRESSIVE_THRESHOLD:
         for subset in _candidate_subsets(problem):
-            sub = ReductionProblem(problem.target, subset, allow_degenerate=True)
+            sub = ReductionProblem(problem.target, subset)
             result = _solve(sub)
             if result.l1_distance == 0:
                 return result
@@ -329,10 +318,7 @@ def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     sol = lpsolver.solve(lp)
     if sol.status != lpsolver.OPTIMAL:
         raise ValueError(f"overestimation program is {sol.status} at this anchor")
-    quadratic = from_capacity_form(_capacity_from_solution(problem, sol.values)).drop_unused_aux()
-    report = verify_reduction(problem.target, quadratic)
-    gaps = report.gaps
-    distance = sum((abs(v) for v in gaps.values()), Fraction(0))
-    if any(v > 0 for v in gaps.values()) or gaps[anchor] != 0:
+    result = _result(problem, sol)
+    if any(v > 0 for v in result.per_labeling_gap.values()) or result.per_labeling_gap[anchor] != 0:
         raise lpsolver.LpInternalError("overestimate left a labeling below the target")
-    return ReductionResult(quadratic, distance, gaps, report)
+    return result

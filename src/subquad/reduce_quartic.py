@@ -7,10 +7,10 @@ monotone on-sets, one exact program over the auxiliary coefficients
 prescription is the pair of symmetric thresholds |S| >= 3 and |S| >= 2
 (product active on |S| >= 3).  It covers everything the non-interacting
 replacement algebra below produces, but not the whole reducible cone:
-sums carrying the two-sided interacting generator can escape it.  For
-those ``reduce_quartic`` keeps the first variable on |S| >= 3 and sweeps
-the second through its other 113 singleton-free monotone patterns, with
-every other pattern pair as a fallback.  Not every submodular quartic is
+sums carrying the two-sided interacting generator can escape it.  The
+first variable always stays on |S| >= 3, as in the paper's quartic form;
+for those sums ``reduce_quartic`` sweeps the second through its other 113
+singleton-free monotone patterns.  Not every submodular quartic is
 reducible (Zivny, Cohen and Jeavons 2009, "The expressive power of binary
 submodular functions"); the tenth catalog group lies outside the class.
 A quartic with no non-negative generator decomposition is reported
@@ -182,11 +182,11 @@ def _zpart_form(mask: int, z1: int, z2: int) -> dict[str, int]:
     return row
 
 
-def _add_sign_rows(lp: lpsolver.LinearProgram, on1: frozenset, on2: frozenset) -> None:
-    """Each auxiliary's coefficient is non-positive on its on-set and
-    non-negative off it."""
+def _add_sign_rows(lp: lpsolver.LinearProgram, on2: frozenset) -> None:
+    """Each auxiliary's coefficient is non-positive on its on-set
+    (FORWARD_SET for the first) and non-negative off it."""
     for mask in range(16):
-        for z1, z2, on in ((1, 0, mask in on1), (0, 1, mask in on2)):
+        for z1, z2, on in ((1, 0, mask in FORWARD_SET), (0, 1, mask in on2)):
             lp.add_constraint(_zpart_form(mask, z1, z2), "<=" if on else ">=", 0)
 
 
@@ -227,17 +227,17 @@ def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearP
             objective[slack] = Fraction(1)
             lp.add_constraint(row | {slack: Fraction(1)}, ">=", target)
             lp.add_constraint(row | {slack: Fraction(-1)}, "<=", target)
-    _add_sign_rows(lp, FORWARD_SET, BACKWARD_SET)
+    _add_sign_rows(lp, BACKWARD_SET)
     lp.set_objective(objective)
     return lp
 
 
 def _states_lp(
-    f: QuarticFunction, on1: frozenset, on2: frozenset, sign_rows: bool = False, dominance: bool = True
+    f: QuarticFunction, on2: frozenset, sign_rows: bool = False, dominance: bool = True
 ) -> lpsolver.LinearProgram:
     """Program in the auxiliary coefficients alone, with the optimal state
-    of each auxiliary prescribed: on exactly on the labelings in on1 (first)
-    and on2 (second).
+    of each auxiliary prescribed: the first on exactly on FORWARD_SET
+    (|S| >= 3), the second on exactly on the labelings in on2.
 
     The 16 value rows are folded away: W fixes the x-part f - W, so they
     only ask it to be a submodular quadratic (no degree-3 or degree-4
@@ -245,14 +245,14 @@ def _states_lp(
     auxiliary's own sign pattern; dominance adds, per labeling, that the
     prescribed joint state weakly beats the other three.  With dominance
     rows, feasibility is equivalent to a verified reduction whose states
-    follow (on1, on2); sign rows alone do not imply one, since the
+    follow (FORWARD_SET, on2); sign rows alone do not imply one, since the
     interaction j12 can make another joint state cheaper.
     """
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
 
     def states(mask):
-        return (1 if mask in on1 else 0, 1 if mask in on2 else 0)
+        return (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
 
     for top in TRIPLES + (FULL4,):
         row: dict[str, int] = {}
@@ -280,7 +280,7 @@ def _states_lp(
             row[name] = row.get(name, 0) - c
         lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
     if sign_rows:
-        _add_sign_rows(lp, on1, on2)
+        _add_sign_rows(lp, on2)
     if dominance:
         for mask in range(16):
             z1, z2 = states(mask)
@@ -304,11 +304,11 @@ def _av_params(values: dict[str, Fraction]) -> tuple[AvParams, AvParams, Fractio
     return av1, av2, values["j12"]
 
 
-def _assemble(f: QuarticFunction, values: dict[str, Fraction], on1=FORWARD_SET, on2=BACKWARD_SET) -> JointQuadratic:
+def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> JointQuadratic:
     av1, av2, j12 = _av_params(values)
     xvals = []
     for mask in range(16):
-        z1, z2 = (1 if mask in on1 else 0, 1 if mask in on2 else 0)
+        z1, z2 = (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
         w = Fraction(0)
         if z1:
             w += partition_coefficient(av1, mask)
@@ -377,32 +377,22 @@ def decompose_over_generators(f: QuarticFunction) -> list[tuple[int, tuple, Frac
 
 
 @cache
-def _pattern_pairs() -> list[tuple[frozenset, frozenset]]:
-    """Every prescription (on1, on2) with on1 a monotone on-set of
-    labelings of size >= 3 and on2 a singleton-free one: 17 x 114 = 1938
-    pairs, larger on-sets first.  The 114 pairs keeping on1 on the forward
-    threshold lead, starting with the threshold pair itself, which
-    ``reduce_quartic`` decides in its presolves and skips here; the rest
-    are a fallback that no measured reducible quartic has needed."""
-    onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
-
-    def ordered(min_size):
-        return sorted(
-            (u for u in onsets if all(m.bit_count() >= min_size for m in u)),
-            key=lambda u: (-len(u), sorted(u)),
-        )
-
-    level3, nosing = ordered(3), ordered(2)
-    return [(FORWARD_SET, u2) for u2 in nosing] + [
-        (u1, u2) for u2 in nosing for u1 in level3 if u1 != FORWARD_SET
-    ]
+def _second_onsets() -> list[frozenset]:
+    """The second auxiliary's 114 singleton-free monotone on-sets, larger
+    first, so the backward threshold |S| >= 2 leads; ``reduce_quartic``
+    decides that one in its presolves and sweeps the rest."""
+    onsets = (frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4))
+    return sorted(
+        (u for u in onsets if all(m.bit_count() >= 2 for m in u)),
+        key=lambda u: (-len(u), sorted(u)),
+    )
 
 
-def _try_states(f: QuarticFunction, on1: frozenset, on2: frozenset, sign_rows: bool = False) -> JointQuadratic | None:
-    sol = lpsolver.solve(_states_lp(f, on1, on2, sign_rows))
+def _try_states(f: QuarticFunction, on2: frozenset, sign_rows: bool = False) -> JointQuadratic | None:
+    sol = lpsolver.solve(_states_lp(f, on2, sign_rows))
     if sol.status != lpsolver.OPTIMAL:
         return None
-    joint = _assemble(f, sol.values, on1, on2)
+    joint = _assemble(f, sol.values, on2)
     if not verify_reduction(f.poly, joint.to_quadratic()).passed:
         raise lpsolver.LpInternalError("dominance-feasible point failed verification")
     return joint
@@ -420,28 +410,29 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     fail, a generator decomposition is sought; when none exists f lies
     outside the class the replacement algebra reaches and NotRepresentable
     is raised, after two LP solves in all when the first presolve was
-    infeasible.  Otherwise one ordered sweep over the other prescribed
-    state patterns (``_pattern_pairs``) follows: the first auxiliary held
-    on |S| >= 3 while the second runs through its other 113 singleton-free
-    monotone patterns.  That costs at most 116 LP solves (at most 23 on any
-    measured reducible input) before the remaining pairs, which no measured
-    input has reached.
+    infeasible.  Otherwise one ordered sweep follows: the first auxiliary
+    stays on |S| >= 3 while the second runs through its other 113
+    singleton-free monotone patterns (``_second_onsets``).  The whole
+    search therefore costs at most 116 LP solves (at most 24 on any
+    measured reducible input).  The 114 patterns are not known to cover
+    the whole reducible cone, so a decomposable quartic that misses every
+    one raises LpInternalError; no measured input has.
     """
     if not f.is_submodular():
         raise ValueError("reduce_quartic needs a submodular quartic")
-    sol = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET, sign_rows=True, dominance=False))
+    sol = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False))
     if sol.status == lpsolver.OPTIMAL:
         joint = _assemble(f, sol.values)
         if verify_reduction(f.poly, joint.to_quadratic()).passed:
             return joint
         # The second presolve adds dominance rows to the first one's rows,
         # so it can only be feasible when the first one is.
-        joint = _try_states(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)
+        joint = _try_states(f, BACKWARD_SET, sign_rows=True)
         if joint is not None:
             return joint
     if decompose_over_generators(f) is None:
         raise NotRepresentable("no non-negative generator decomposition exists")
-    # The sweep skips its first pair, the threshold pair under dominance
+    # The sweep skips its first on-set, the threshold pair under dominance
     # rows alone: that program is feasible only when the one with sign rows
     # as well is, and that one is infeasible by now (solved, or implied by
     # the infeasible first presolve).  Take a point of it and move the
@@ -451,8 +442,8 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     # weights are non-negative); likewise kappa2 <= 0 on pairs and above,
     # >= 0 below.  The moved point therefore meets the sign rows, and with
     # no interaction left the sign rows imply dominance.
-    for on1, on2 in _pattern_pairs()[1:]:
-        joint = _try_states(f, on1, on2)
+    for on2 in _second_onsets()[1:]:
+        joint = _try_states(f, on2)
         if joint is not None:
             return joint
     raise lpsolver.LpInternalError(

@@ -63,6 +63,15 @@ def test_reduce_cube(files, capsys):
     )
 
 
+def test_reduce_keeps_a_constant_generator_table(tmp_path, capsys):
+    # with k = 1 the generator set is threshold(1, 2), the constant 0 table
+    target = tmp_path / "lin.pbf"
+    target.write_text("2 : 1\n")
+    code, out = run(capsys, ["reduce", str(target), "--k", "1", "--mbfs", "generators"])
+    assert code == 0
+    assert out == "QUADRATIC vars=1 avs=0\n2 : 1\nGAPS\n- 0\n1 0\nRESULT distance=0\nRESULT avs=0\n"
+
+
 def test_nearest_same_surface(files, capsys):
     code, out = run(capsys, ["nearest", files["cube"], "--k", "3"])
     assert code == 0

@@ -12,7 +12,7 @@ from subquad.lpsolver import EQUAL, GREATER, INFEASIBLE, LESS, OPTIMAL, UNBOUNDE
 from subquad.mbf import enumerate_mbfs, prune_mbf_set
 from subquad.pbf import format_rational
 from subquad.reduce_general import ReductionProblem, build_reduction_lp
-from subquad.reduce_quartic import BACKWARD_SET, FORWARD_SET, _states_lp
+from subquad.reduce_quartic import BACKWARD_SET, _states_lp
 
 
 def lp_of(variables, constraints, objective, lowers=None):
@@ -382,15 +382,14 @@ def _solution_digest(sol) -> str:
 def _cubic_program(index):
     rng = random.Random(700 + index)
     tables = tuple(prune_mbf_set(enumerate_mbfs(3)))
-    problem = ReductionProblem(random_submodular_cubic(rng), (tables[index % len(tables)],),
-                               allow_degenerate=True)
+    problem = ReductionProblem(random_submodular_cubic(rng), (tables[index % len(tables)],))
     return build_reduction_lp(problem)
 
 
 def _quartic_program(index):
     rng = random.Random(800 + index)
     sign_rows, dominance = ((True, False), (True, True), (False, True))[index % 3]
-    return _states_lp(random_generator_combination(rng), FORWARD_SET, BACKWARD_SET, sign_rows, dominance)
+    return _states_lp(random_generator_combination(rng), BACKWARD_SET, sign_rows, dominance)
 
 
 BENCH_GOLDEN = {

@@ -31,12 +31,8 @@ def pruned3():
 
 
 class TestProblemValidation:
-    def test_rejects_degenerate_tables(self):
-        with pytest.raises(ValueError):
-            ReductionProblem(NEG_CUBE, (MbfTable(3, 0),))
-
-    def test_accepts_degenerate_when_asked(self):
-        ReductionProblem(NEG_CUBE, (MbfTable(3, 0),), allow_degenerate=True)
+    def test_accepts_degenerate_tables(self):
+        ReductionProblem(NEG_CUBE, (MbfTable(3, 0),))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -50,7 +46,7 @@ class TestProblemValidation:
     def test_size_guard(self):
         target = MultilinearPoly.zero(5)
         tables = tuple(enumerate_mbfs(5)[100:141])
-        problem = ReductionProblem(target, tables, allow_degenerate=True)
+        problem = ReductionProblem(target, tables)
         with pytest.raises(ValueError):
             build_reduction_lp(problem)
 
@@ -139,7 +135,7 @@ class TestExactCases:
         # held at 0 the distance is 1 on every pattern.
         f, h = generator_catalog(9, pattern)
         tables = (induced_mbf(h, 5), induced_mbf(h, 6))
-        problem = ReductionProblem(f.poly, tables, allow_degenerate=True)
+        problem = ReductionProblem(f.poly, tables)
         assert nearest_quadratic(problem).l1_distance == 0
         lp = build_reduction_lp(problem)
         lp.add_constraint({"zz_2_1": 1}, "<=", 0)
@@ -206,10 +202,10 @@ class TestProgressiveSubsets:
         targets = [f for f in (random_submodular_cubic(rng) for _ in range(12)) if f.degree == 3]
         assert len(targets) >= 8
         # with no auxiliaries the fit misses, so trying it first changed nothing
-        assert all(_solve(ReductionProblem(f, (), allow_degenerate=True)).l1_distance > 0
+        assert all(_solve(ReductionProblem(f, ())).l1_distance > 0
                    for f in targets)
         first = [next(_candidate_subsets(ReductionProblem(f, tables))) for f in targets]
-        expected = [_solve(ReductionProblem(f, sub, allow_degenerate=True))
+        expected = [_solve(ReductionProblem(f, sub))
                     for f, sub in zip(targets, first)]
         programs = self.counted_solves(monkeypatch)
         for f, want in zip(targets, expected):

@@ -18,7 +18,6 @@ from subquad.oracle import verify_reduction
 from subquad.pbf import MultilinearPoly
 from subquad.reduce_quartic import (
     BACKWARD_SET,
-    FORWARD_SET,
     PAIR_MASKS,
     ForbiddenConfiguration,
     JointQuadratic,
@@ -37,7 +36,7 @@ from subquad.reduce_quartic import (
     reference_system_matrix,
     remove_singletons,
 )
-from subquad.reduce_quartic import _pattern_pairs, _preserves_min, _states_lp
+from subquad.reduce_quartic import _preserves_min, _second_onsets, _states_lp
 
 from _gen import random_av_params, random_generator_combination
 
@@ -353,27 +352,23 @@ class TestSearchPrograms:
     def test_golden_programs(self):
         rng = random.Random(40)
         cliques = [random_generator_combination(rng) for _ in range(40)]
-        fwd, bwd = FORWARD_SET, BACKWARD_SET
         builders = {
             "exact": lambda f: build_quartic_lp(f, exact=True),
             "nearest": lambda f: build_quartic_lp(f, exact=False),
-            "sign": lambda f: _states_lp(f, fwd, bwd, sign_rows=True, dominance=False),
-            "sign_dominance": lambda f: _states_lp(f, fwd, bwd, sign_rows=True),
-            "dominance": lambda f: _states_lp(f, fwd, bwd),
+            "sign": lambda f: _states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False),
+            "sign_dominance": lambda f: _states_lp(f, BACKWARD_SET, sign_rows=True),
+            "dominance": lambda f: _states_lp(f, BACKWARD_SET),
         }
         got = {name: _program_digest(build(f) for f in cliques) for name, build in builders.items()}
         assert got == self.GOLDEN
 
-    def test_sweep_covers_every_pattern_pair_once(self):
+    def test_sweep_covers_every_second_onset_once(self):
         onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
-        level3 = [u for u in onsets if all(m.bit_count() >= 3 for m in u)]
-        nosing = [u for u in onsets if all(m.bit_count() >= 2 for m in u)]
-        assert (len(level3), len(nosing)) == (17, 114)
-        pairs = _pattern_pairs()
-        assert len(pairs) == len(set(pairs)) == 1938
-        assert set(pairs) == {(u1, u2) for u1 in level3 for u2 in nosing}
-        assert pairs[0] == (FORWARD_SET, BACKWARD_SET)
-        assert all(on1 == FORWARD_SET for on1, _ in pairs[:114])
+        nosing = {u for u in onsets if all(m.bit_count() >= 2 for m in u)}
+        second = _second_onsets()
+        assert len(second) == len(set(second)) == 114
+        assert set(second) == nosing
+        assert second[0] == BACKWARD_SET
 
     @pytest.mark.parametrize("index", [405, 495])
     def test_search_bound(self, monkeypatch, index):
@@ -387,9 +382,36 @@ class TestSearchPrograms:
         calls = []
         monkeypatch.setattr(lpsolver, "solve", lambda lp: calls.append(lp) or solve(lp))
         joint = reduce_quartic(f)
-        # two presolves, one decomposition, 113 further forward-threshold pairs
+        # the whole search: two presolves, one decomposition and the 113
+        # further on-sets of the second auxiliary
         assert len(calls) <= 116
         assert verify_reduction(f.poly, joint.to_quadratic()).passed
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_generator_sums_reduce_within_the_search(self, data):
+        # Any non-negative generator sum needing a prescription outside the
+        # search (the first auxiliary off |S| >= 3) would fail here.
+        f = QuarticFunction.from_terms([])
+        for _ in range(data.draw(st.integers(1, 6))):
+            group = data.draw(st.integers(1, 9))
+            part, _ = generator_catalog(group, data.draw(st.sampled_from(generator_patterns(group))))
+            weight = Fraction(data.draw(st.integers(1, 9)), data.draw(st.sampled_from((1, 2, 3, 5))))
+            f = f + part.scaled(weight)
+        # swapped by hand: a function-scoped monkeypatch fixture would be
+        # shared by every example
+        solve = lpsolver.solve
+        calls = []
+        lpsolver.solve = lambda lp: calls.append(lp) or solve(lp)
+        try:
+            h = reduce_quartic(f).to_quadratic()
+        finally:
+            lpsolver.solve = solve
+        report = verify_reduction(f.poly, h)
+        assert report.passed
+        assert all(report.av_monotone)
+        assert h.drop_unused_aux().n_z <= 2
+        assert len(calls) <= 116
 
     def test_not_representable_costs_two_solves(self, monkeypatch):
         # the first presolve is infeasible, so the second one, which only
@@ -411,8 +433,8 @@ class TestSearchPrograms:
         cliques += [generator_catalog(10, p)[0] for p in generator_patterns(10)]
         statuses = []
         for f in cliques:
-            with_sign = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET, sign_rows=True)).status
-            alone = lpsolver.solve(_states_lp(f, FORWARD_SET, BACKWARD_SET)).status
+            with_sign = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True)).status
+            alone = lpsolver.solve(_states_lp(f, BACKWARD_SET)).status
             assert with_sign == alone
             statuses.append(alone)
         assert {lpsolver.OPTIMAL, lpsolver.INFEASIBLE} <= set(statuses)
