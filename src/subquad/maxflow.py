@@ -32,6 +32,7 @@ class FlowNetwork:
     arcs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.arcs = {(u, v): rat(c) for (u, v), c in self.arcs.items()}
         for (u, v), c in self.arcs.items():
             self._check_arc(u, v, c)
 
@@ -50,8 +51,9 @@ class FlowNetwork:
         return self.n_internal + 1
 
     def add(self, u: int, v: int, cap: Fraction):
+        cap = rat(cap)
         self._check_arc(u, v, cap)
-        add_into(self.arcs, (u, v), rat(cap))
+        add_into(self.arcs, (u, v), cap)
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,17 @@ class CutResult:
 
 
 def build_network(c: CapacityForm) -> FlowNetwork:
-    """Network whose min cut plus c_empty is the minimum of the quadratic."""
+    """Network whose min cut plus c_empty is the minimum of the quadratic.
+
+    The arcs are copied as they are: ``CapacityForm`` has already checked
+    every node, edge and capacity, and source arcs, sink arcs and pair
+    arcs cannot share a key.
+    """
     net = FlowNetwork(c.n_nodes)
     t = net.sink
-    for i, v in c.src.items():
-        net.add(0, i, v)
-    for i, v in c.sink.items():
-        net.add(i, t, v)
-    for (i, j), v in c.pairs.items():
-        net.add(i, j, v)
+    net.arcs = {(0, i): v for i, v in c.src.items()}
+    net.arcs.update(((i, t), v) for i, v in c.sink.items())
+    net.arcs.update(c.pairs)
     return net
 
 
@@ -93,7 +97,7 @@ def max_flow(net: FlowNetwork) -> CutResult:
     """
     n = net.sink + 1
     s, t = net.source, net.sink
-    arcs = [(u, v, c) for (u, v), c in net.arcs.items() if c != 0]
+    arcs = [(u, v, c) for (u, v), c in net.arcs.items() if c]
     scale = lcm(*{c.denominator for _, _, c in arcs})
     head: list[int] = []
     cap: list[int] = []

@@ -2,8 +2,9 @@
 
 A pseudo-Boolean function on n Boolean variables has a unique multilinear
 polynomial, stored here as a map from variable subsets to rational
-coefficients.  All arithmetic uses fractions.Fraction, and zero
-coefficients are never stored, so structural equality coincides with
+coefficients.  All arithmetic is exact: coefficients are
+fractions.Fraction, bulk sums run on ints over a common denominator, and
+zero coefficients are never stored, so structural equality coincides with
 functional equality.
 
 Subsets are bitmasks: bit i-1 of a mask corresponds to variable i
@@ -21,6 +22,7 @@ is documented there; its correctness is pinned by round-trip tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -113,7 +115,7 @@ class MultilinearPoly:
             if mask & ~full:
                 raise ValueError(f"term {indices_of(mask)} exceeds {n_vars} variables")
             c = rat(coeff)
-            if c != 0:
+            if c:
                 clean[mask] = c
         self.n_vars = n_vars
         self.terms = clean
@@ -127,8 +129,7 @@ class MultilinearPoly:
         """Build from (indices, coefficient) pairs; duplicate subsets add up."""
         acc: dict[int, Fraction] = {}
         for indices, coeff in items:
-            m = mask_of(indices)
-            acc[m] = acc.get(m, Fraction(0)) + rat(coeff)
+            add_into(acc, mask_of(indices), rat(coeff))
         return cls(n_vars, acc)
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
@@ -199,8 +200,7 @@ class MultilinearPoly:
         for mask, coeff in self.terms.items():
             if mask & zeros:
                 continue
-            m = mask & ~ones
-            acc[m] = acc.get(m, Fraction(0)) + coeff
+            add_into(acc, mask & ~ones, coeff)
         return MultilinearPoly(self.n_vars, acc)
 
     def derivative(self, i: int) -> "MultilinearPoly":
@@ -211,8 +211,7 @@ class MultilinearPoly:
         acc: dict[int, Fraction] = {}
         for mask, coeff in self.terms.items():
             if mask & bit:
-                m = mask ^ bit
-                acc[m] = acc.get(m, Fraction(0)) + coeff
+                add_into(acc, mask ^ bit, coeff)
         return MultilinearPoly(self.n_vars, acc)
 
     def second_derivative(self, i: int, j: int, x: int) -> Fraction:
@@ -239,8 +238,7 @@ class MultilinearPoly:
         n = self.n_vars if n_vars is None else n_vars
         acc: dict[int, Fraction] = {}
         for mask, coeff in self.terms.items():
-            new = mask_of(mapping.get(i, i) for i in indices_of(mask))
-            acc[new] = acc.get(new, Fraction(0)) + coeff
+            add_into(acc, mask_of(mapping.get(i, i) for i in indices_of(mask)), coeff)
         return MultilinearPoly(n, acc)
 
     def with_vars(self, n_vars: int) -> "MultilinearPoly":
@@ -257,7 +255,7 @@ class MultilinearPoly:
         n = max(self.n_vars, other.n_vars)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            add_into(acc, m, c)
         return MultilinearPoly(n, acc)
 
     def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
@@ -403,20 +401,15 @@ class CapacityForm:
 
     def __post_init__(self):
         self.c_empty = rat(self.c_empty)
-        self.src = {i: rat(v) for i, v in self.src.items() if v != 0}
-        self.sink = {i: rat(v) for i, v in self.sink.items() if v != 0}
-        self.pairs = {e: rat(v) for e, v in self.pairs.items() if v != 0}
         n = self.n_nodes
-        for i, v in list(self.src.items()) + list(self.sink.items()):
-            if not 1 <= i <= n:
-                raise ValueError(f"node {i} out of range")
-            if v < 0:
-                raise ValueError("capacities must be non-negative")
-        for (i, j), v in self.pairs.items():
-            if i == j or not 1 <= i <= n or not 1 <= j <= n:
-                raise ValueError(f"bad edge ({i}, {j})")
-            if v < 0:
-                raise ValueError("capacities must be non-negative")
+        node = (lambda i: 1 <= i <= n, lambda i: f"node {i} out of range")
+        self.src = _capacities(self.src, *node)
+        self.sink = _capacities(self.sink, *node)
+        self.pairs = _capacities(
+            self.pairs,
+            lambda e: e[0] != e[1] and 1 <= e[0] <= n and 1 <= e[1] <= n,
+            lambda e: f"bad edge ({e[0]}, {e[1]})",
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -436,6 +429,28 @@ class CapacityForm:
         return total
 
 
+def _capacities(caps: dict, key_ok, key_error) -> dict:
+    """Validate capacities in one pass: keys in range, values non-negative.
+
+    Zero values are dropped and other values coerced to Fraction; the dict
+    is copied only when it holds such a value, so a clean one is kept.
+    """
+    clean = True
+    for key, v in caps.items():
+        c = rat(v)
+        if not c:
+            clean = False
+            continue
+        if not key_ok(key):
+            raise ValueError(key_error(key))
+        if c.numerator < 0:
+            raise ValueError("capacities must be non-negative")
+        clean = clean and c is v
+    if clean:
+        return caps
+    return {key: c for key, v in caps.items() if (c := rat(v))}
+
+
 def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
     """Rewrite a submodular quadratic as non-negative capacities.
 
@@ -443,33 +458,41 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
     pair capacity -a on the edge (j -> i) plus the linear correction a*x_j;
     a resulting linear coefficient v goes to sink[i] when v >= 0, and
     otherwise contributes -v to src[i] and v to the constant.
+
+    The sums run on ints: every coefficient is scaled once by the lcm of
+    the denominators, and each capacity becomes one Fraction at the end.
     """
-    linear: dict[int, Fraction] = {}
+    terms = h.poly.terms
+    scale = lcm(*{c.denominator for c in terms.values()})
+    linear: dict[int, int] = {}
     pairs: dict[tuple[int, int], Fraction] = {}
-    c_empty = Fraction(0)
-    for mask, coeff in sorted(h.poly.terms.items()):
-        k = mask.bit_count()
-        if k == 0:
-            c_empty += coeff
-        elif k == 1:
-            add_into(linear, mask.bit_length(), coeff)
+    c_empty = 0
+    for mask, coeff in terms.items():
+        a = coeff.numerator * (scale // coeff.denominator)
+        if not mask & (mask - 1):  # constant or linear
+            if mask:
+                add_into(linear, mask.bit_length(), a)
+            else:
+                c_empty += a
+        elif a > 0:
+            # name the lowest positive mask, whatever order the terms are in
+            bad = min(m for m, c in terms.items() if m.bit_count() == 2 and c > 0)
+            raise NotSubmodularQuadratic(
+                f"bilinear coefficient {format_rational(terms[bad])} on {indices_of(bad)} is positive"
+            )
         else:
-            if coeff > 0:
-                raise NotSubmodularQuadratic(
-                    f"bilinear coefficient {format_rational(coeff)} on {indices_of(mask)} is positive"
-                )
-            lo, hi = indices_of(mask)
-            add_into(pairs, (hi, lo), -coeff)
-            add_into(linear, hi, coeff)
+            hi = mask.bit_length()
+            pairs[(hi, (mask & -mask).bit_length())] = Fraction(-a, scale)
+            add_into(linear, hi, a)
     src: dict[int, Fraction] = {}
     sink: dict[int, Fraction] = {}
-    for i, v in sorted(linear.items()):
-        if v >= 0:
-            sink[i] = v
-        else:
-            src[i] = -v
-            c_empty += v
-    return CapacityForm(h.n_x, h.n_z, c_empty, src, sink, pairs)
+    for i, a in linear.items():
+        if a > 0:
+            sink[i] = Fraction(a, scale)
+        elif a:
+            src[i] = Fraction(-a, scale)
+            c_empty += a
+    return CapacityForm(h.n_x, h.n_z, Fraction(c_empty, scale), src, sink, pairs)
 
 
 def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
@@ -477,17 +500,21 @@ def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
     on values; composition with to_capacity_form is pointwise identity)."""
     acc: dict[int, Fraction] = {0: c.c_empty}
     for i, v in c.src.items():
-        acc[0] = acc.get(0, Fraction(0)) + v
-        m = 1 << (i - 1)
-        acc[m] = acc.get(m, Fraction(0)) - v
+        acc[0] += v
+        add_into(acc, 1 << (i - 1), -v)
     for i, v in c.sink.items():
-        m = 1 << (i - 1)
-        acc[m] = acc.get(m, Fraction(0)) + v
+        add_into(acc, 1 << (i - 1), v)
     for (i, j), v in c.pairs.items():
         mi, mj = 1 << (i - 1), 1 << (j - 1)
-        acc[mi] = acc.get(mi, Fraction(0)) + v
-        acc[mi | mj] = acc.get(mi | mj, Fraction(0)) - v
+        add_into(acc, mi, v)
+        add_into(acc, mi | mj, -v)
     return QuadraticPoly(MultilinearPoly(c.n_nodes, acc), c.n_x, c.n_z)
+
+
+# A head of ASCII digits with an optional sign and denominator is read with
+# int(); every other head goes to Fraction(str), whose grammar (underscores,
+# decimals, exponents) is that of the running Python version.
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
@@ -505,11 +532,17 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
             continue
         head, _, tail = line.partition(":")
         head = head.strip()
+        plain = _PLAIN_RATIONAL.fullmatch(head)
         try:
-            coeff = Fraction(head)
+            if plain is None:
+                coeff = Fraction(head)
+            else:
+                num, den = plain.groups()
+                coeff = Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
             raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1)
-        indices = []
+        mask = 0
+        repeated = False
         for tok in tail.split():
             try:
                 i = int(tok)
@@ -517,11 +550,15 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
                 raise PolyParseError(f"bad variable index {tok!r}", lineno, raw.index(tok) + 1)
             if i < 1:
                 raise PolyParseError(f"variable index {i} must be >= 1", lineno, raw.index(tok) + 1)
-            indices.append(i)
-        if len(set(indices)) != len(indices):
+            bit = 1 << (i - 1)
+            if mask & bit:
+                repeated = True
+            mask |= bit
+            if i > max_index:
+                max_index = i
+        if repeated:
             raise PolyParseError("repeated variable in one term", lineno)
-        add_into(acc, mask_of(indices), coeff)
-        max_index = max(max_index, *indices, 0) if indices else max_index
+        add_into(acc, mask, coeff)
     n = max_index if n_vars is None else n_vars
     if n < max_index:
         raise PolyParseError(f"index {max_index} exceeds declared {n} variables", 1)

@@ -87,6 +87,24 @@ class TestMaxFlow:
             net.add(-1, 1, Fraction(1))
         assert net.arcs == {}
 
+    def test_add_coerces_before_checking(self):
+        net = FlowNetwork(2)
+        net.add(0, 1, "1/2")
+        net.add(0, 1, 1)
+        assert net.arcs == {(0, 1): Fraction(3, 2)}
+        assert type(net.arcs[(0, 1)]) is Fraction
+        with pytest.raises(ValueError, match="non-negative"):
+            net.add(1, 3, "-1/2")
+        assert max_flow(net).flow_value == 0
+
+    def test_constructor_coerces_before_checking(self):
+        net = FlowNetwork(2, {(0, 1): "1/2", (1, 3): 2})
+        assert net.arcs == {(0, 1): Fraction(1, 2), (1, 3): Fraction(2)}
+        assert all(type(c) is Fraction for c in net.arcs.values())
+        assert max_flow(net).flow_value == Fraction(1, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            FlowNetwork(2, {(0, 1): "-1/2"})
+
     def test_add_accumulates(self):
         net = FlowNetwork(1)
         net.add(0, 1, Fraction(1, 3))

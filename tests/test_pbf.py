@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subquad.maxflow import minimize_quadratic
+from subquad.oracle import brute_min
 from subquad.pbf import (
+    CapacityForm,
     MultilinearPoly,
     NotSubmodularQuadratic,
     PolyParseError,
     QuadraticPoly,
+    add_into,
     format_polynomial,
+    format_rational,
     from_capacity_form,
     indices_of,
     is_submodular,
@@ -232,10 +237,214 @@ class TestCapacityForm:
             back = from_capacity_form(cf)
             assert back.poly == h.poly
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="node 3 out of range"):
+            CapacityForm(1, 1, src={3: Fraction(1)})
+        with pytest.raises(ValueError, match="node 0 out of range"):
+            CapacityForm(2, sink={0: Fraction(1)})
+        with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
+            CapacityForm(2, pairs={(2, 2): Fraction(1)})
+        with pytest.raises(ValueError, match=r"bad edge \(1, 3\)"):
+            CapacityForm(2, pairs={(1, 3): Fraction(1)})
+        for field in ("src", "sink"):
+            with pytest.raises(ValueError, match="non-negative"):
+                CapacityForm(2, **{field: {1: "-1/2"}})
+        with pytest.raises(ValueError, match="non-negative"):
+            CapacityForm(2, pairs={(1, 2): Fraction(-1)})
+
+    def test_coerces_and_drops_zeros(self):
+        cf = CapacityForm(2, 0, "1/3", {1: "1/2", 2: 0}, {2: 3}, {(1, 2): Fraction(0), (2, 1): Fraction(1)})
+        assert (cf.c_empty, cf.src, cf.sink, cf.pairs) == (
+            Fraction(1, 3), {1: Fraction(1, 2)}, {2: Fraction(3)}, {(2, 1): Fraction(1)}
+        )
+        assert all(type(v) is Fraction for d in (cf.src, cf.sink, cf.pairs) for v in d.values())
+        clean = {1: Fraction(1)}
+        assert CapacityForm(1, src=clean).src is clean
+
     @settings(max_examples=300)
     @given(submodular_quadratics())
     def test_round_trip_property(self, h):
         assert from_capacity_form(to_capacity_form(h)).poly == h.poly
+
+
+def _reference_capacity_form(h):
+    """``to_capacity_form`` as it was written on Fraction sums, before the
+    integer front end, with the zero filter ``CapacityForm`` then applied;
+    kept as the golden reference.  Returns (c_empty, src, sink, pairs)."""
+    linear = {}
+    pairs = {}
+    c_empty = Fraction(0)
+    for mask, coeff in sorted(h.poly.terms.items()):
+        k = mask.bit_count()
+        if k == 0:
+            c_empty += coeff
+        elif k == 1:
+            add_into(linear, mask.bit_length(), coeff)
+        else:
+            if coeff > 0:
+                raise NotSubmodularQuadratic(
+                    f"bilinear coefficient {format_rational(coeff)} on {indices_of(mask)} is positive"
+                )
+            lo, hi = indices_of(mask)
+            add_into(pairs, (hi, lo), -coeff)
+            add_into(linear, hi, coeff)
+    src = {}
+    sink = {}
+    for i, v in sorted(linear.items()):
+        if v >= 0:
+            sink[i] = v
+        else:
+            src[i] = -v
+            c_empty += v
+    return c_empty, *({k: v for k, v in d.items() if v != 0} for d in (src, sink, pairs))
+
+
+mixed_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def mixed_quadratics(draw):
+    """Submodular quadratics over an x block and an auxiliary block, with
+    denominators 1 to 9; some linear coefficients cancel the corrections
+    the pair terms make, so their capacity is 0.  At most 12 variables,
+    so brute force can check the minimum."""
+    n_x = draw(st.integers(1, 12))
+    n_z = draw(st.integers(0, min(3, 12 - n_x)))
+    n = n_x + n_z
+    terms = {0: draw(mixed_rationals)}
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            terms[1 << i | 1 << j] = -abs(draw(mixed_rationals))
+    for i in range(n):
+        if draw(st.booleans()):
+            terms[1 << i] = -sum(
+                (c for m, c in terms.items() if m.bit_count() == 2 and m.bit_length() == i + 1),
+                Fraction(0),
+            )
+        else:
+            terms[1 << i] = draw(mixed_rationals)
+    return QuadraticPoly(MultilinearPoly(n, terms), n_x, n_z)
+
+
+class TestCapacityFormGolden:
+    @settings(max_examples=300)
+    @given(mixed_quadratics())
+    def test_matches_the_fraction_reference(self, h):
+        cf = to_capacity_form(h)
+        c_empty, src, sink, pairs = _reference_capacity_form(h)
+        assert cf.c_empty == c_empty
+        assert cf.src == src
+        assert cf.sink == sink
+        assert cf.pairs == pairs
+        assert all(type(v) is Fraction for d in (cf.src, cf.sink, cf.pairs) for v in d.values())
+
+    @settings(max_examples=200)
+    @given(mixed_quadratics(), st.data())
+    def test_positive_bilinear_message_matches(self, h, data):
+        terms = dict(h.poly.terms)
+        pairs = list(combinations(range(h.n_vars), 2))
+        if not pairs:
+            return
+        for i, j in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)):
+            terms[1 << i | 1 << j] = Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        bad = QuadraticPoly(MultilinearPoly(h.n_vars, terms), h.n_x, h.n_z)
+        with pytest.raises(NotSubmodularQuadratic) as ref:
+            _reference_capacity_form(bad)
+        with pytest.raises(NotSubmodularQuadratic) as got:
+            to_capacity_form(bad)
+        assert str(got.value) == str(ref.value)
+
+    @settings(max_examples=150)
+    @given(mixed_quadratics())
+    def test_minimum_and_argmin_match_brute_force(self, h):
+        assert minimize_quadratic(h) == brute_min(h.poly)
+
+
+def _reference_parse(text, n_vars=None):
+    """``parse_polynomial`` as it was written on ``Fraction(str)``, before
+    the integer front end; kept as the differential reference."""
+    acc = {}
+    max_index = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, tail = line.partition(":")
+        head = head.strip()
+        try:
+            coeff = Fraction(head)
+        except (ValueError, ZeroDivisionError):
+            raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1)
+        indices = []
+        for tok in tail.split():
+            try:
+                i = int(tok)
+            except ValueError:
+                raise PolyParseError(f"bad variable index {tok!r}", lineno, raw.index(tok) + 1)
+            if i < 1:
+                raise PolyParseError(f"variable index {i} must be >= 1", lineno, raw.index(tok) + 1)
+            indices.append(i)
+        if len(set(indices)) != len(indices):
+            raise PolyParseError("repeated variable in one term", lineno)
+        add_into(acc, mask_of(indices), coeff)
+        max_index = max(max_index, *indices, 0) if indices else max_index
+    n = max_index if n_vars is None else n_vars
+    if n < max_index:
+        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", 1)
+    return MultilinearPoly(n, acc)
+
+
+HEADS = ["+3", "-0", " 3/4", "0003/06", "1.5", "1e2", "1_0", "3/0", "3/-4", "²", "x",
+         "", " ", "-7/9", "+2/4", "3 /4", "- 1", "0/5", "12345678901234567890/3"]
+INDICES = ["0", "1", "2", "3", "5", "007", "-2", "+4", "x", "1.0"]
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Term lines, comments, blank lines and a bare ':' line, with heads
+    and indices that both parse and fail."""
+    head = st.one_of(
+        st.sampled_from(HEADS),
+        st.builds(str, st.integers(-99, 99)),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(0, 12)),
+    )
+    term = st.builds(
+        lambda h, sep, idx, gap, note: h + (sep + gap.join(idx) if sep else "") + note,
+        head,
+        st.sampled_from(["", ":", " : ", ":  "]),
+        st.lists(st.sampled_from(INDICES), max_size=4),
+        st.sampled_from([" ", "  ", "\t"]),
+        st.sampled_from(["", " # note", "#: 1 2"]),
+    )
+    line = st.one_of(term, term, term, st.sampled_from(["# comment", "", "   ", ":", " : ", "#"]))
+    text = "\n".join(draw(st.lists(line, max_size=8)))
+    return text, draw(st.one_of(st.none(), st.integers(0, 7)))
+
+
+def _parse_outcome(parse, text, n_vars):
+    try:
+        return "ok", parse(text, n_vars)
+    except PolyParseError as err:
+        return "error", str(err), err.line, err.column
+
+
+class TestParseDifferential:
+    @settings(max_examples=400)
+    @given(polynomial_texts())
+    def test_matches_the_fraction_reference(self, case):
+        text, n_vars = case
+        assert _parse_outcome(parse_polynomial, text, n_vars) == _parse_outcome(_reference_parse, text, n_vars)
+
+    def test_bare_colon_line_is_an_error(self):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial("1 : 1\n:\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert "bad rational ''" in str(err.value)
+
+    def test_plain_heads(self):
+        f = parse_polynomial("+3\n-0 : 1\n0003/06 : 2\n-7/9 : 1 2\n")
+        assert f.terms == {0: 3, 0b10: Fraction(1, 2), 0b11: Fraction(-7, 9)}
+        assert all(type(c) is Fraction for c in f.terms.values())
 
 
 class TestTextFormat:
