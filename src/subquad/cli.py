@@ -25,6 +25,7 @@ from .pbf import (
     format_rational,
     indices_of,
     is_submodular,
+    mask_of,
     parse_polynomial,
 )
 from .reduce_general import ReductionProblem, nearest_quadratic, overestimate
@@ -122,14 +123,20 @@ def _cmd_nearest(args) -> int:
     return 0
 
 
+def _anchor(spec: str) -> int:
+    """The --anchor labeling: comma-separated 1-based indices, empty for
+    the all-zeros labeling."""
+    if not spec.strip():
+        return 0
+    try:
+        return mask_of(int(tok) for tok in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated indices >= 1, got {spec!r}") from None
+
+
 def _cmd_overestimate(args) -> int:
     problem = _problem_from_args(args)
-    anchor = 0
-    for tok in args.anchor.split(","):
-        tok = tok.strip()
-        if tok:
-            anchor |= 1 << (int(tok) - 1)
-    result = overestimate(problem, anchor)
+    result = overestimate(problem, args.anchor)
     _print_reduction(result, args.k)
     return 0
 
@@ -216,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mbfs", default=None)
-    p.add_argument("--anchor", required=True, help="comma-separated 1-based indices, empty for the all-zeros labeling")
+    p.add_argument("--anchor", type=_anchor, required=True, help="comma-separated 1-based indices, empty for the all-zeros labeling")
     p.set_defaults(fn=_cmd_overestimate)
 
     p = sub.add_parser("reduce4", help="two-auxiliary reduction of a quartic")

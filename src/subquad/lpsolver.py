@@ -1,41 +1,41 @@
 """Exact rational linear programming by two-phase primal simplex.
 
 The tableau is sparse and integer: each row (the two objective rows too)
-is a dict of its nonzero entries, with the right-hand side under the key
-_RHS, and stands for the real tableau row times a positive scale of its
-own.  A pivot on entry piv = prow[pc] replaces every row with
+is a dict of its nonzero entries keyed by original column number, with the
+right-hand side under the key _RHS, and stands for the real tableau row
+times a positive scale of its own.  Each row is built straight from its
+constraint's coefficient dict, scaled by the lcm of the row's
+denominators.  A pivot on entry piv = prow[pc] replaces every row with
 f = row[pc] != 0 by
 
     piv * row - f * prow
 
 over the union of the two supports (with piv and f first divided by
 their gcd), dropping zeros, and divides the result by the gcd of its
-entries; rows with no entry in column pc are not touched.  When piv < 0 (only when an artificial is driven out: both
-phases pivot on positive entries) the pivot row is negated first, so the new
-scale, the old one times piv over the gcd, stays positive and every
-basic diagonal entry stays positive.
+entries; rows with no entry in column pc are not touched.  When piv < 0
+(only when an artificial is driven out: both phases pivot on positive
+entries) the pivot row is negated first, so every scale and every basic
+diagonal entry stays positive.
 
 Every decision therefore reads the same as on the real tableau: the sign
 of each entry, each ratio rhs/a within a row and each rhs/diagonal.
-Entering columns follow Bland's rule (smallest index with a negative
-reduced cost), ties in the ratio test leave the basic variable with the
-smallest original column number, which rules out cycling, an artificial
+Entering columns follow Bland's rule (smallest column number with a
+negative reduced cost), ties in the ratio test leave the basic variable
+with the smallest column number, which rules out cycling, an artificial
 is driven out on its row's first nonzero, and rows left all zero are
 dropped; so the pivot sequence, every vertex and every value are those of
 the real tableau, whatever the scales.
+
+Artificial columns are implicit: they never enter, and a pivot updates
+each column from that column, the pivot column and the pivot row alone,
+so leaving them out changes no other entry beyond its row's scale.  Each
+still takes the column number it would have, which the ratio-test
+tie-break compares, and a set marks those numbers.
 
 Free variables are split into differences of two non-negative columns;
 non-zero lower bounds are shifted away.  Infeasibility and unboundedness
 are reported as statuses, never exceptions.  Every optimal solution is
 re-substituted into the original constraints before it is returned.
-
-Each integer row is built straight from its constraint's sparse
-coefficient dict, scaled by the lcm of the row's denominators.  Artificial
-columns are implicit: they never enter, and a pivot updates each column
-from that column, the pivot column and the pivot row alone, so leaving
-them out changes no other entry beyond its row's scale.  The basis keeps every column's original
-number, artificials included, because the ratio-test tie-break compares
-those numbers.
 """
 
 from __future__ import annotations
@@ -180,11 +180,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Standard form with rhs >= 0: a row with a negative rhs is negated and
     # its relation flipped.  A <= row gets a slack basic, a >= row a surplus
     # column and an artificial basic, an == row an artificial basic; the
-    # phase-1 row is minus the sum of the artificial rows.  Basis entries are
-    # original column numbers; orig_of_pos maps a stored column to its own.
-    orig_of_pos = list(range(ncols))
+    # phase-1 row is minus the sum of the artificial rows.  Every column
+    # keeps its original number, artificials included.
     rows: list[dict[int, int]] = []
     basis: list[int] = []
+    artificial: set[int] = set()
     p1: dict[int, int] = {}
     label = ncols
     for con in lp.constraints:
@@ -196,13 +196,13 @@ def solve(lp: LinearProgram) -> LpSolution:
         if rhs:
             row[_RHS] = sign * rhs.numerator * (scale // rhs.denominator)
         if rel != EQUAL:
-            row[len(orig_of_pos)] = scale if rel == LESS else -scale
-            orig_of_pos.append(label)
+            row[label] = scale if rel == LESS else -scale
             label += 1
         if rel == LESS:
-            basis.append(orig_of_pos[-1])
+            basis.append(label - 1)
         else:  # the implicit artificial, numbered where it would sit
             basis.append(label)
+            artificial.add(label)
             label += 1
             for j, v in row.items():
                 w = p1.get(j, 0) - v
@@ -211,7 +211,6 @@ def solve(lp: LinearProgram) -> LpSolution:
                 else:
                     del p1[j]
         rows.append(row)
-    pos_of = {o: p for p, o in enumerate(orig_of_pos)}
 
     # Objective rows ride along at the bottom: phase 2 first, then phase 1.
     nrows = len(rows)
@@ -235,25 +234,25 @@ def solve(lp: LinearProgram) -> LpSolution:
             if leave < 0:
                 return UNBOUNDED
             _pivot(rows, leave, enter)
-            basis[leave] = orig_of_pos[enter]
+            basis[leave] = enter
 
     status = run_phase(nrows + 1)
     if status != OPTIMAL or _RHS in rows[-1]:
         return LpSolution(INFEASIBLE, {}, None)
     rows.pop()  # the phase-1 row has done its work
 
-    # Drive leftover artificial basics out on the first nonzero stored
+    # Drive leftover artificial basics out on their row's first nonzero
     # entry; rows that cannot pivot are redundant and harmless to keep
     # (their rhs is zero), but dropping keeps later ratio tests cheap.
     drop = []
     for r in range(nrows):
-        if basis[r] not in pos_of:
+        if basis[r] in artificial:
             pc = min((j for j in rows[r] if j != _RHS), default=None)
             if pc is None:
                 drop.append(r)
             else:
                 _pivot(rows, r, pc)
-                basis[r] = orig_of_pos[pc]
+                basis[r] = pc
     for r in reversed(drop):
         del rows[r]
         del basis[r]
@@ -267,9 +266,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     # carries the row's scale; only nonzero values are kept and summed.
     col_value: dict[int, Fraction] = {}
     for r in range(nrows):
-        pos = pos_of[basis[r]]
-        if pos < ncols and _RHS in rows[r]:
-            col_value[pos] = Fraction(rows[r][_RHS], rows[r][pos])
+        col = basis[r]
+        if col < ncols and _RHS in rows[r]:
+            col_value[col] = Fraction(rows[r][_RHS], rows[r][col])
     values = {}
     for name in lp.variables:
         v = shift.get(name, Fraction(0))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -515,6 +516,15 @@ def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
 # int(); every other head goes to Fraction(str), whose grammar (underscores,
 # decimals, exponents) is that of the running Python version.
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_TOKEN = re.compile(r"\S+")
+
+
+def _index_column(raw: str, pos: int) -> int:
+    """1-based column of the pos-th index token after the colon of a line
+    (1 when there is none)."""
+    tokens = _TOKEN.finditer(raw.split("#", 1)[0], raw.find(":") + 1)
+    tok = next(islice(tokens, pos, None), None)
+    return tok.start() + 1 if tok else 1
 
 
 def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
@@ -525,7 +535,7 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
     inferred from the largest index mentioned.
     """
     acc: dict[int, Fraction] = {}
-    max_index = 0
+    max_index, max_at = 0, (1, "", 0)  # line number, line and token position of the largest index
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -542,26 +552,27 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
         except (ValueError, ZeroDivisionError):
             raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1)
         mask = 0
-        repeated = False
-        for tok in tail.split():
+        repeated = None
+        for pos, tok in enumerate(tail.split()):
             try:
                 i = int(tok)
             except ValueError:
-                raise PolyParseError(f"bad variable index {tok!r}", lineno, raw.index(tok) + 1)
+                raise PolyParseError(f"bad variable index {tok!r}", lineno, _index_column(raw, pos))
             if i < 1:
-                raise PolyParseError(f"variable index {i} must be >= 1", lineno, raw.index(tok) + 1)
+                raise PolyParseError(f"variable index {i} must be >= 1", lineno, _index_column(raw, pos))
             bit = 1 << (i - 1)
-            if mask & bit:
-                repeated = True
+            if mask & bit and repeated is None:
+                repeated = pos
             mask |= bit
             if i > max_index:
-                max_index = i
-        if repeated:
-            raise PolyParseError("repeated variable in one term", lineno)
+                max_index, max_at = i, (lineno, raw, pos)
+        if repeated is not None:
+            raise PolyParseError("repeated variable in one term", lineno, _index_column(raw, repeated))
         add_into(acc, mask, coeff)
     n = max_index if n_vars is None else n_vars
     if n < max_index:
-        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", 1)
+        lineno, raw, pos = max_at
+        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", lineno, _index_column(raw, pos))
     return MultilinearPoly(n, acc)
 
 

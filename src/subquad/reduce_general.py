@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import lpsolver
 from .mbf import MbfTable, is_monotone
@@ -85,44 +86,44 @@ def _column_count(k: int, M: int) -> int:
     return shared + (1 << k) * per_labeling
 
 
-def _aux_cut_terms(problem: ReductionProblem, x: int, z_bits: dict[int, int]) -> dict[str, Fraction]:
-    """Capacity variables cut by the auxiliary labeling z at a fixed x."""
-    k = problem.k
-    M = len(problem.mbf_set)
-    expr: dict[str, Fraction] = {}
-
-    def bump(name, c=Fraction(1)):
-        expr[name] = expr.get(name, Fraction(0)) + c
-
-    for l in range(1, M + 1):
-        if not z_bits[l]:
-            bump(f"src_z{l}")
-            for i in range(1, k + 1):
-                if x >> (i - 1) & 1:
-                    bump(f"xz_{i}_{l}")
-        else:
-            bump(f"snk_z{l}")
-    for l in range(2, M + 1):
-        for m in range(1, l):
-            if z_bits[l] and not z_bits[m]:
-                bump(f"zz_{l}_{m}")
-    return expr
-
-
-def _value_terms(problem: ReductionProblem, x: int) -> dict[str, Fraction]:
-    """Linear form for h(x, m(x)) in the capacity variables."""
-    k = problem.k
-    expr = {"c0": Fraction(1)}
+@cache
+def _capacities(k: int, M: int) -> tuple[tuple[str, tuple], ...]:
+    """Capacity variables of the joint (k + M)-node form in declaration
+    order, each with what it charges: ("src", v) when node v is off,
+    ("snk", v) when it is on, (u, v) when u is on and v is off.  Nodes
+    k+1..k+M are the auxiliaries; the 2k + k(k-1)/2 capacities among the
+    originals come first."""
+    caps = []
     for i in range(1, k + 1):
-        expr[f"snk_x{i}" if x >> (i - 1) & 1 else f"src_x{i}"] = Fraction(1)
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            if x >> (i - 1) & 1 and not x >> (j - 1) & 1:
-                expr[f"xx_{i}_{j}"] = Fraction(1)
-    states = {l: problem.mbf_set[l - 1].value(x) for l in range(1, len(problem.mbf_set) + 1)}
-    for name, c in _aux_cut_terms(problem, x, states).items():
-        expr[name] = expr.get(name, Fraction(0)) + c
-    return expr
+        caps += [(f"src_x{i}", ("src", i)), (f"snk_x{i}", ("snk", i))]
+    caps += [(f"xx_{i}_{j}", (i, j)) for i in range(2, k + 1) for j in range(1, i)]
+    for l in range(1, M + 1):
+        caps += [(f"src_z{l}", ("src", k + l)), (f"snk_z{l}", ("snk", k + l))]
+    caps += [(f"xz_{i}_{l}", (i, k + l)) for i in range(1, k + 1) for l in range(1, M + 1)]
+    caps += [(f"zz_{l}_{m}", (k + l, k + m)) for l in range(2, M + 1) for m in range(1, l)]
+    return tuple(caps)
+
+
+def _cut_terms(caps, y: int) -> dict[str, int]:
+    """The capacities among caps cut by the joint labeling y (bit v - 1 set
+    when node v is on)."""
+
+    def on(v):
+        return y >> (v - 1) & 1
+
+    return {
+        name: 1
+        for name, (u, v) in caps
+        if (not on(v) if u == "src" else on(v) if u == "snk" else on(u) and not on(v))
+    }
+
+
+def _joint_labeling(problem: ReductionProblem, x: int) -> int:
+    """x with every auxiliary at its prescribed state: x | m(x) << k."""
+    y = x
+    for l, t in enumerate(problem.mbf_set):
+        y |= t.value(x) << (problem.k + l)
+    return y
 
 
 def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
@@ -135,29 +136,21 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
             f"refusing a {columns}-column program for k={k} with {M} tables "
             f"(limit {MAX_COLUMNS}); use --mbfs generators or fewer tables"
         )
+    caps = _capacities(k, M)
+    name = {charge: n for n, charge in caps}
+    aux_caps = caps[2 * k + k * (k - 1) // 2 :]
     lp = lpsolver.LinearProgram()
     lp.add_variable("c0", lower=None)
-    for i in range(1, k + 1):
-        lp.add_variable(f"src_x{i}")
-        lp.add_variable(f"snk_x{i}")
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            lp.add_variable(f"xx_{i}_{j}")
-    for l in range(1, M + 1):
-        lp.add_variable(f"src_z{l}")
-        lp.add_variable(f"snk_z{l}")
-    for i in range(1, k + 1):
-        for l in range(1, M + 1):
-            lp.add_variable(f"xz_{i}_{l}")
-    for l in range(2, M + 1):
-        for m in range(1, l):
-            lp.add_variable(f"zz_{l}_{m}")
+    for n, _ in caps:
+        lp.add_variable(n)
 
     objective: dict[str, Fraction] = {}
     for x in range(1 << k):
         gap = f"gap_{x}"
         lp.add_variable(gap)
         objective[gap] = Fraction(1)
+        y = _joint_labeling(problem, x)
+        value = {"c0": 1} | _cut_terms(caps, y)
         if M:
             for l in range(1, M + 1):
                 lp.add_variable(f"fs_{x}_{l}")
@@ -168,43 +161,35 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
             lp.add_variable(f"thr_{x}")
 
             for l in range(1, M + 1):
-                cap = {f"fs_{x}_{l}": Fraction(1), f"src_z{l}": Fraction(-1)}
+                cap = {f"fs_{x}_{l}": 1, name["src", k + l]: -1}
                 for i in range(1, k + 1):
                     if x >> (i - 1) & 1:
-                        cap[f"xz_{i}_{l}"] = Fraction(-1)
+                        cap[name[i, k + l]] = -1
                 lp.add_constraint(cap, "<=", 0)
-                lp.add_constraint({f"ft_{x}_{l}": 1, f"snk_z{l}": -1}, "<=", 0)
+                lp.add_constraint({f"ft_{x}_{l}": 1, name["snk", k + l]: -1}, "<=", 0)
             for l in range(2, M + 1):
                 for m in range(1, l):
-                    lp.add_constraint({f"fz_{x}_{l}_{m}": 1, f"zz_{l}_{m}": -1}, "<=", 0)
+                    lp.add_constraint({f"fz_{x}_{l}_{m}": 1, name[k + l, k + m]: -1}, "<=", 0)
             # Inflow bounded by outflow at each auxiliary node: summed over
             # any source-side set this caps the throughput by every cut.
             for l in range(1, M + 1):
-                cons = {f"fs_{x}_{l}": Fraction(1), f"ft_{x}_{l}": Fraction(-1)}
+                cons = {f"fs_{x}_{l}": 1, f"ft_{x}_{l}": -1}
                 for m in range(l + 1, M + 1):
-                    cons[f"fz_{x}_{m}_{l}"] = Fraction(1)
+                    cons[f"fz_{x}_{m}_{l}"] = 1
                 for m in range(1, l):
-                    cons[f"fz_{x}_{l}_{m}"] = Fraction(-1)
+                    cons[f"fz_{x}_{l}_{m}"] = -1
                 lp.add_constraint(cons, "<=", 0)
-            source = {f"thr_{x}": Fraction(1)}
+            source = {f"thr_{x}": 1}
             for l in range(1, M + 1):
-                source[f"fs_{x}_{l}"] = Fraction(-1)
+                source[f"fs_{x}_{l}"] = -1
             lp.add_constraint(source, "<=", 0)
             # Tightness: the cut picked by the prescribed states must not
             # exceed the throughput, hence equals the minimum cut.
-            states = {l: problem.mbf_set[l - 1].value(x) for l in range(1, M + 1)}
-            tight = dict(_aux_cut_terms(problem, x, states))
-            tight[f"thr_{x}"] = tight.get(f"thr_{x}", Fraction(0)) - 1
-            lp.add_constraint(tight, "<=", 0)
+            lp.add_constraint(_cut_terms(aux_caps, y) | {f"thr_{x}": -1}, "<=", 0)
 
         gx = problem.target.evaluate(x)
-        value = _value_terms(problem, x)
-        lo = dict(value)
-        lo[gap] = Fraction(1)
-        lp.add_constraint(lo, ">=", gx)
-        hi = dict(value)
-        hi[gap] = Fraction(-1)
-        lp.add_constraint(hi, "<=", gx)
+        lp.add_constraint(value | {gap: 1}, ">=", gx)
+        lp.add_constraint(value | {gap: -1}, "<=", gx)
 
     lp.set_objective(objective)
     return lp
@@ -212,24 +197,14 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
 
 def _capacity_from_solution(problem: ReductionProblem, values: dict[str, Fraction]) -> CapacityForm:
     k, M = problem.k, len(problem.mbf_set)
-    src = {}
-    sink = {}
-    pairs = {}
-    for i in range(1, k + 1):
-        src[i] = values[f"src_x{i}"]
-        sink[i] = values[f"snk_x{i}"]
-    for l in range(1, M + 1):
-        src[k + l] = values[f"src_z{l}"]
-        sink[k + l] = values[f"snk_z{l}"]
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            pairs[(i, j)] = values[f"xx_{i}_{j}"]
-    for i in range(1, k + 1):
-        for l in range(1, M + 1):
-            pairs[(i, k + l)] = values[f"xz_{i}_{l}"]
-    for l in range(2, M + 1):
-        for m in range(1, l):
-            pairs[(k + l, k + m)] = values[f"zz_{l}_{m}"]
+    src, sink, pairs = {}, {}, {}
+    for n, (u, v) in _capacities(k, M):
+        if u == "src":
+            src[v] = values[n]
+        elif u == "snk":
+            sink[v] = values[n]
+        else:
+            pairs[u, v] = values[n]
     return CapacityForm(k, M, values["c0"], src, sink, pairs)
 
 
@@ -309,8 +284,9 @@ def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     if anchor >> problem.k:
         raise ValueError("anchor labeling outside the target's variable range")
     lp = build_reduction_lp(problem)
+    caps = _capacities(problem.k, len(problem.mbf_set))
     for x in range(1 << problem.k):
-        value = _value_terms(problem, x)
+        value = {"c0": 1} | _cut_terms(caps, _joint_labeling(problem, x))
         gx = problem.target.evaluate(x)
         lp.add_constraint(value, ">=", gx)
         if x == anchor:

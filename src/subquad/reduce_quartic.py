@@ -100,53 +100,36 @@ class QuarticFunction:
         return QuarticFunction(self.poly.scaled(c))
 
 
-def prescribed_states(mask: int) -> tuple[int, int]:
-    return (1 if mask.bit_count() >= 3 else 0, 1 if mask.bit_count() >= 2 else 0)
-
-
 @dataclass(frozen=True)
 class JointQuadratic:
     """Quadratic over x1..x4 plus the two threshold auxiliaries.
 
-    h(x, z1, z2) = b0 + sum b_i x_i - sum b_pairs[p] x_i x_j
-                 + (g1 - sum w1_i x_i) z1 + (g2 - sum w2_i x_i) z2
+    h(x, z1, z2) = x_part(x) + (g1 - sum w1_i x_i) z1 + (g2 - sum w2_i x_i) z2
                  - j12 z1 z2
 
-    with b_pairs, the w's and j12 all non-negative, which is exactly
-    submodularity of the whole form.
+    with x_part a quadratic whose pair coefficients are non-positive and the
+    w's and j12 non-negative, which is exactly submodularity of the whole
+    form.
     """
 
-    b0: Fraction
-    b: tuple[Fraction, Fraction, Fraction, Fraction]
-    b_pairs: dict[int, Fraction]
+    x_part: MultilinearPoly
     av1: AvParams
     av2: AvParams
     j12: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "b0", rat(self.b0))
-        object.__setattr__(self, "b", tuple(rat(v) for v in self.b))
-        object.__setattr__(
-            self, "b_pairs", {m: rat(v) for m, v in self.b_pairs.items() if v != 0}
-        )
         object.__setattr__(self, "j12", rat(self.j12))
-        if self.j12 < 0 or any(v < 0 for v in self.b_pairs.values()):
+        if self.j12 < 0 or any(c > 0 for m, c in self.x_part.terms.items() if m.bit_count() == 2):
             raise ValueError("interaction and pair magnitudes must be non-negative")
 
     def to_quadratic(self) -> QuadraticPoly:
-        terms: dict[int, Fraction] = {0: self.b0}
-        for i in range(4):
-            terms[1 << i] = self.b[i]
-        for pm, v in self.b_pairs.items():
-            terms[pm] = terms.get(pm, Fraction(0)) - v
+        terms = dict(self.x_part.terms)
         z1, z2 = 1 << 4, 1 << 5
         for z_mask, av in ((z1, self.av1), (z2, self.av2)):
-            terms[z_mask] = terms.get(z_mask, Fraction(0)) + av.g
+            terms[z_mask] = av.g
             for i in range(4):
-                if av.weights[i]:
-                    terms[(1 << i) | z_mask] = -av.weights[i]
-        if self.j12:
-            terms[z1 | z2] = -self.j12
+                terms[(1 << i) | z_mask] = -av.weights[i]
+        terms[z1 | z2] = -self.j12
         return QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
 
 
@@ -190,14 +173,17 @@ def _add_sign_rows(lp: lpsolver.LinearProgram, on2: frozenset) -> None:
             lp.add_constraint(_zpart_form(mask, z1, z2), "<=" if on else ">=", 0)
 
 
-def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearProgram:
-    """Feasibility (or L1-nearest) program in the joint-quadratic
-    coefficients: 16 value rows at the known threshold states, the
-    per-threshold sign pattern on every labeling, and non-negativity of
-    all bilinear magnitudes.  With exact=False the value rows get slack
-    variables and their total is minimized."""
-    if not f.is_submodular():
-        raise ValueError("the exact program only applies to submodular quartics")
+def _states(mask: int, on2: frozenset) -> tuple[int, int]:
+    """Prescribed joint state at a labeling: the first auxiliary on exactly
+    on FORWARD_SET, the second on exactly on on2."""
+    return (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
+
+
+def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
+    """L1-nearest program in the joint-quadratic coefficients: 16 value
+    rows at the threshold states, each with a slack pair whose total is
+    minimized, the per-threshold sign pattern on every labeling, and
+    non-negativity of all bilinear magnitudes."""
     lp = lpsolver.LinearProgram()
     lp.add_variable("b0", lower=None)
     for i in range(1, 5):
@@ -217,16 +203,13 @@ def build_quartic_lp(f: QuarticFunction, exact: bool = True) -> lpsolver.LinearP
             if mask & pm == pm:
                 i, j = indices_of(pm)
                 row[f"bp_{i}{j}"] = Fraction(-1)
-        row.update(_zpart_form(mask, *prescribed_states(mask)))
+        row.update(_zpart_form(mask, *_states(mask, BACKWARD_SET)))
         target = f.value(mask)
-        if exact:
-            lp.add_constraint(row, "==", target)
-        else:
-            slack = f"d_{mask}"
-            lp.add_variable(slack)
-            objective[slack] = Fraction(1)
-            lp.add_constraint(row | {slack: Fraction(1)}, ">=", target)
-            lp.add_constraint(row | {slack: Fraction(-1)}, "<=", target)
+        slack = f"d_{mask}"
+        lp.add_variable(slack)
+        objective[slack] = Fraction(1)
+        lp.add_constraint(row | {slack: Fraction(1)}, ">=", target)
+        lp.add_constraint(row | {slack: Fraction(-1)}, "<=", target)
     _add_sign_rows(lp, BACKWARD_SET)
     lp.set_objective(objective)
     return lp
@@ -250,17 +233,13 @@ def _states_lp(
     """
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
-
-    def states(mask):
-        return (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
-
     for top in TRIPLES + (FULL4,):
         row: dict[str, int] = {}
         bits = top.bit_count()
         sub = top
         while True:
             sign = 1 if (bits - sub.bit_count()) % 2 == 0 else -1
-            for name, c in _zpart_form(sub, *states(sub)).items():
+            for name, c in _zpart_form(sub, *_states(sub, on2)).items():
                 row[name] = row.get(name, 0) + sign * c
             if sub == 0:
                 break
@@ -271,19 +250,19 @@ def _states_lp(
         # over the pair includes singleton and empty corrections so that
         # on-sets reaching below size two are still handled exactly
         row: dict[str, int] = {}
-        for name, c in _zpart_form(pm, *states(pm)).items():
+        for name, c in _zpart_form(pm, *_states(pm, on2)).items():
             row[name] = -c
         for s in indices_of(pm):
-            for name, c in _zpart_form(1 << (s - 1), *states(1 << (s - 1))).items():
+            for name, c in _zpart_form(1 << (s - 1), *_states(1 << (s - 1), on2)).items():
                 row[name] = row.get(name, 0) + c
-        for name, c in _zpart_form(0, *states(0)).items():
+        for name, c in _zpart_form(0, *_states(0, on2)).items():
             row[name] = row.get(name, 0) - c
         lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
     if sign_rows:
         _add_sign_rows(lp, on2)
     if dominance:
         for mask in range(16):
-            z1, z2 = states(mask)
+            z1, z2 = _states(mask, on2)
             base = _zpart_form(mask, z1, z2)
             for a1 in (0, 1):
                 for a2 in (0, 1):
@@ -305,10 +284,12 @@ def _av_params(values: dict[str, Fraction]) -> tuple[AvParams, AvParams, Fractio
 
 
 def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> JointQuadratic:
+    """The joint quadratic of a states-program point: the x-part is f - W
+    at the prescribed states."""
     av1, av2, j12 = _av_params(values)
     xvals = []
     for mask in range(16):
-        z1, z2 = (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
+        z1, z2 = _states(mask, on2)
         w = Fraction(0)
         if z1:
             w += partition_coefficient(av1, mask)
@@ -317,24 +298,12 @@ def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET)
         if z1 and z2:
             w -= j12
         xvals.append(f.value(mask) - w)
-    xpoly = MultilinearPoly.from_values(4, xvals)
-    if xpoly.degree > 2:
+    x_part = MultilinearPoly.from_values(4, xvals)
+    if x_part.degree > 2:
         raise lpsolver.LpInternalError("x-part failed to come out quadratic")
-    b_pairs = {}
-    for pm in PAIR_MASKS:
-        c = xpoly.terms.get(pm, Fraction(0))
-        if c > 0:
-            raise lpsolver.LpInternalError("x-part has a positive pair coefficient")
-        if c:
-            b_pairs[pm] = -c
-    return JointQuadratic(
-        xpoly.terms.get(0, Fraction(0)),
-        tuple(xpoly.terms.get(1 << i, Fraction(0)) for i in range(4)),
-        b_pairs,
-        av1,
-        av2,
-        j12,
-    )
+    if any(x_part.terms.get(pm, 0) > 0 for pm in PAIR_MASKS):
+        raise lpsolver.LpInternalError("x-part has a positive pair coefficient")
+    return JointQuadratic(x_part, av1, av2, j12)
 
 
 @cache
@@ -452,24 +421,25 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
 
 
 def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
-    """L1-nearest joint quadratic when the exact program fails (or not):
-    returns the assembled form and the oracle-confirmed distance."""
+    """L1-nearest joint quadratic: reduce_quartic's answer at distance 0,
+    else the optimum of the nearest program, with the oracle-confirmed
+    distance."""
     if not f.is_submodular():
         raise ValueError("nearest_quartic needs a submodular quartic")
     try:
         return reduce_quartic(f), Fraction(0)
     except NotRepresentable:
         pass
-    lp = build_quartic_lp(f, exact=False)
-    sol = lpsolver.solve(lp)
+    sol = lpsolver.solve(_nearest_lp(f))
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
-    joint = JointQuadratic(
-        sol.values["b0"],
-        tuple(sol.values[f"b{i}"] for i in range(1, 5)),
-        {pm: sol.values[f"bp_{indices_of(pm)[0]}{indices_of(pm)[1]}"] for pm in PAIR_MASKS},
-        *_av_params(sol.values),
-    )
+    x_part = {0: sol.values["b0"]}
+    for i in range(1, 5):
+        x_part[1 << (i - 1)] = sol.values[f"b{i}"]
+    for pm in PAIR_MASKS:
+        i, j = indices_of(pm)
+        x_part[pm] = -sol.values[f"bp_{i}{j}"]
+    joint = JointQuadratic(MultilinearPoly(4, x_part), *_av_params(sol.values))
     report = verify_reduction(f.poly, joint.to_quadratic())
     distance = sum((abs(g) for g in report.gaps.values()), Fraction(0))
     if distance == 0:

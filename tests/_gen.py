@@ -1,5 +1,6 @@
 """Seeded random instance generators shared across the test modules."""
 
+import hashlib
 from fractions import Fraction
 
 from subquad.mbf import AvParams
@@ -85,3 +86,12 @@ def random_generator_combination(rng, max_parts=5) -> QuarticFunction:
         part, _ = generator_catalog(group, pattern)
         f = f + part.scaled(Fraction(rng.randint(1, 4), rng.choice([1, 2])))
     return f
+
+
+def program_digest(programs) -> str:
+    """SHA-256 over each program's variable order, bounds and rows."""
+    h = hashlib.sha256()
+    for lp in programs:
+        h.update("\n".join(f"{v} {lp._lower[v]}" for v in lp.variables).encode())
+        h.update(b"\n" + lp.dump().encode() + b"\n\n")
+    return h.hexdigest()

@@ -176,6 +176,20 @@ def test_overestimate(files, capsys):
     )
 
 
+@pytest.mark.parametrize("anchor", ["0", "-1", "x", "1,,2"])
+def test_overestimate_rejects_a_bad_anchor(files, capsys, anchor):
+    code = cli.main(["overestimate", files["sup"], "--k", "2", "--anchor", anchor])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"argument --anchor: expected comma-separated indices >= 1, got {anchor!r}" in err
+
+
+def test_overestimate_empty_anchor_is_all_zeros(files, capsys):
+    code, out = run(capsys, ["overestimate", files["sup"], "--k", "2", "--anchor", ""])
+    assert code == 0
+    assert "- 0\n" in out
+
+
 def test_reduce_with_table_file(files, tmp_path, capsys):
     # tables written in the mbf-dump bit-string format round-trip into reduce
     code = cli.main(["mbf-dump", "3"])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -362,9 +363,12 @@ class TestCapacityFormGolden:
 
 def _reference_parse(text, n_vars=None):
     """``parse_polynomial`` as it was written on ``Fraction(str)``, before
-    the integer front end; kept as the differential reference."""
+    the integer front end; kept as the differential reference.  An index
+    error points at its token, counted from the colon; a repeated variable
+    at its second occurrence; an undeclared index at the first occurrence
+    of the largest index."""
     acc = {}
-    max_index = 0
+    max_index, max_at = 0, (1, 1)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -375,22 +379,28 @@ def _reference_parse(text, n_vars=None):
             coeff = Fraction(head)
         except (ValueError, ZeroDivisionError):
             raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1)
-        indices = []
-        for tok in tail.split():
+        colon = raw.index(":") if ":" in line else len(raw)
+        tokens = [(m.group(), colon + 2 + m.start()) for m in re.finditer(r"\S+", raw[colon + 1 :].split("#", 1)[0])]
+        indices, columns = [], []
+        for tok, column in tokens:
             try:
                 i = int(tok)
             except ValueError:
-                raise PolyParseError(f"bad variable index {tok!r}", lineno, raw.index(tok) + 1)
+                raise PolyParseError(f"bad variable index {tok!r}", lineno, column)
             if i < 1:
-                raise PolyParseError(f"variable index {i} must be >= 1", lineno, raw.index(tok) + 1)
+                raise PolyParseError(f"variable index {i} must be >= 1", lineno, column)
             indices.append(i)
+            columns.append(column)
         if len(set(indices)) != len(indices):
-            raise PolyParseError("repeated variable in one term", lineno)
+            second = next(c for n, c in enumerate(columns) if indices[n] in indices[:n])
+            raise PolyParseError("repeated variable in one term", lineno, second)
         add_into(acc, mask_of(indices), coeff)
-        max_index = max(max_index, *indices, 0) if indices else max_index
+        if indices and max(indices) > max_index:
+            max_index = max(indices)
+            max_at = (lineno, columns[indices.index(max_index)])
     n = max_index if n_vars is None else n_vars
     if n < max_index:
-        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", 1)
+        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", *max_at)
     return MultilinearPoly(n, acc)
 
 
@@ -435,11 +445,48 @@ class TestParseDifferential:
         text, n_vars = case
         assert _parse_outcome(parse_polynomial, text, n_vars) == _parse_outcome(_reference_parse, text, n_vars)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["1", " -2/3", "  +4"]),
+                st.sampled_from([":", " : ", " :\t"]),
+                st.lists(st.sampled_from(["1", "2", "3", "5", "8", "13"]), max_size=4),
+                st.sampled_from([" ", "  "]),
+                st.sampled_from(["", " # 99", "#: 7"]),
+            ),
+            max_size=6,
+        ),
+        st.one_of(st.none(), st.integers(0, 13)),
+    )
+    def test_index_positions_match_the_reference(self, lines, n_vars):
+        # Heads that always parse, so the repeated-variable and declared-count
+        # rules are reached far more often than in the mixed texts above.
+        text = "\n".join(h + sep + gap.join(idx) + note for h, sep, idx, gap, note in lines)
+        assert _parse_outcome(parse_polynomial, text, n_vars) == _parse_outcome(_reference_parse, text, n_vars)
+
     def test_bare_colon_line_is_an_error(self):
         with pytest.raises(PolyParseError) as err:
             parse_polynomial("1 : 1\n:\n")
         assert (err.value.line, err.value.column) == (2, 1)
         assert "bad rational ''" in str(err.value)
+
+    def test_index_error_points_at_its_token(self):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial("0 : 0\n")
+        assert (err.value.line, err.value.column) == (1, 5)
+
+    def test_repeated_variable_points_at_the_repeat(self):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial("1 : 2 3  2 3\n")
+        assert (err.value.line, err.value.column) == (1, 10)
+        assert "repeated variable" in str(err.value)
+
+    def test_undeclared_index_points_at_its_line(self):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial("1 : 2\n3 : 5\n", 2)
+        assert (err.value.line, err.value.column) == (2, 5)
+        assert "index 5 exceeds declared 2 variables" in str(err.value)
 
     def test_plain_heads(self):
         f = parse_polynomial("+3\n-0 : 1\n0003/06 : 2\n-7/9 : 1 2\n")

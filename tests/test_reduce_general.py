@@ -19,7 +19,7 @@ from subquad.reduce_general import (
 from subquad import lpsolver
 from subquad.reduce_quartic import generator_catalog, generator_patterns
 
-from _gen import random_submodular_cubic, random_submodular_quadratic
+from _gen import program_digest, random_submodular_cubic, random_submodular_quadratic
 
 AND3 = MbfTable.threshold(3, 3)
 MAJ3 = MbfTable.threshold(3, 2)
@@ -257,3 +257,35 @@ class TestOverestimate:
         assert gaps[0] == 0
         assert all(g <= 0 for g in gaps.values())
         assert result.l1_distance > 0
+
+
+class TestProgramGolden:
+    # Row order decides which vertex Bland's rule reaches.  This digest of
+    # the variable order, bounds and rows of multi-table programs (and of
+    # two overestimate programs) was recorded from the builder that spelled
+    # every capacity out by hand, before the capacity table replaced it.
+    GOLDEN = "b3d18d1b59d8fd56cdcfababe1cf9b1c60b797f4e72b8575fb1e49c1a0d14431"
+
+    def test_golden_multi_table_programs(self, monkeypatch):
+        target = random_submodular_cubic(random.Random(90))
+        problems = [ReductionProblem(target, pruned3()[:M]) for M in range(5)]
+        problems.append(ReductionProblem(target, pruned3()))
+        for pattern in generator_patterns(9):
+            f, h = generator_catalog(9, pattern)
+            problems.append(ReductionProblem(f.poly, (induced_mbf(h, 5), induced_mbf(h, 6))))
+        thresholds = tuple(MbfTable.threshold(4, r) for r in (2, 3, 4))
+        for pattern in generator_patterns(10):
+            problems.append(ReductionProblem(generator_catalog(10, pattern)[0].poly, thresholds))
+        programs = [build_reduction_lp(problem) for problem in problems]
+
+        # overestimate's programs are captured unsolved, so it refuses them
+        def capture(lp):
+            programs.append(lp)
+            return lpsolver.LpSolution(lpsolver.INFEASIBLE, {}, None)
+
+        monkeypatch.setattr(lpsolver, "solve", capture)
+        for problem, anchor in ((ReductionProblem(target, (AND3, MAJ3)), 0b101), (problems[-1], 0)):
+            with pytest.raises(ValueError):
+                overestimate(problem, anchor)
+        assert len(programs) == 20
+        assert program_digest(programs) == self.GOLDEN

@@ -1,4 +1,4 @@
-import hashlib
+import ast
 import os
 import random
 import subprocess
@@ -23,7 +23,6 @@ from subquad.reduce_quartic import (
     JointQuadratic,
     NotRepresentable,
     QuarticFunction,
-    build_quartic_lp,
     case_split,
     complement_form,
     decompose_over_generators,
@@ -36,9 +35,10 @@ from subquad.reduce_quartic import (
     reference_system_matrix,
     remove_singletons,
 )
-from subquad.reduce_quartic import _preserves_min, _second_onsets, _states_lp
+from subquad.pbf import indices_of
+from subquad.reduce_quartic import _nearest_lp, _preserves_min, _second_onsets, _states_lp
 
-from _gen import random_av_params, random_generator_combination
+from _gen import program_digest, random_av_params, random_generator_combination
 
 
 def P(g, w):
@@ -292,7 +292,7 @@ class TestReduceQuartic:
     def test_g10_exact_lp_infeasible(self):
         for pattern in generator_patterns(10):
             f, _ = generator_catalog(10, pattern)
-            sol = lpsolver.solve(build_quartic_lp(f, exact=True))
+            sol = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False))
             assert sol.status == lpsolver.INFEASIBLE
 
     def test_g10_nearest_positive(self):
@@ -328,12 +328,41 @@ class TestReduceQuartic:
         assert sum(used) == 130
 
 
-def _program_digest(programs) -> str:
-    h = hashlib.sha256()
-    for lp in programs:
-        h.update("\n".join(f"{v} {lp._lower[v]}" for v in lp.variables).encode())
-        h.update(b"\n" + lp.dump().encode() + b"\n\n")
-    return h.hexdigest()
+def _reference_exact_lp(f):
+    """The retired exact program, ``build_quartic_lp(f, exact=True)`` as it
+    was written: 16 value rows at the threshold states in the full joint
+    coefficients, the sign rows and non-negative bilinear magnitudes.
+    ``reduce_quartic``'s first presolve is this program with the x-part
+    folded away."""
+
+    def prescribed_states(mask):
+        return (1 if mask.bit_count() >= 3 else 0, 1 if mask.bit_count() >= 2 else 0)
+
+    if not f.is_submodular():
+        raise ValueError("the exact program only applies to submodular quartics")
+    lp = lpsolver.LinearProgram()
+    lp.add_variable("b0", lower=None)
+    for i in range(1, 5):
+        lp.add_variable(f"b{i}", lower=None)
+    for pm in PAIR_MASKS:
+        i, j = indices_of(pm)
+        lp.add_variable(f"bp_{i}{j}")
+    rq._add_av_variables(lp)
+
+    for mask in range(16):
+        row = {"b0": Fraction(1)}
+        for i in range(1, 5):
+            if mask >> (i - 1) & 1:
+                row[f"b{i}"] = Fraction(1)
+        for pm in PAIR_MASKS:
+            if mask & pm == pm:
+                i, j = indices_of(pm)
+                row[f"bp_{i}{j}"] = Fraction(-1)
+        row.update(rq._zpart_form(mask, *prescribed_states(mask)))
+        lp.add_constraint(row, "==", f.value(mask))
+    rq._add_sign_rows(lp, BACKWARD_SET)
+    lp.set_objective({})
+    return lp
 
 
 class TestSearchPrograms:
@@ -353,14 +382,33 @@ class TestSearchPrograms:
         rng = random.Random(40)
         cliques = [random_generator_combination(rng) for _ in range(40)]
         builders = {
-            "exact": lambda f: build_quartic_lp(f, exact=True),
-            "nearest": lambda f: build_quartic_lp(f, exact=False),
+            "exact": _reference_exact_lp,
+            "nearest": _nearest_lp,
             "sign": lambda f: _states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False),
             "sign_dominance": lambda f: _states_lp(f, BACKWARD_SET, sign_rows=True),
             "dominance": lambda f: _states_lp(f, BACKWARD_SET),
         }
-        got = {name: _program_digest(build(f) for f in cliques) for name, build in builders.items()}
+        got = {name: program_digest(build(f) for f in cliques) for name, build in builders.items()}
         assert got == self.GOLDEN
+
+    def test_first_presolve_decides_like_the_exact_program(self):
+        # Criterion 03 and the G10 tests solve reduce_quartic's first
+        # presolve; the exact program in the full joint coefficients must
+        # reach the same status on every kind of input.
+        rng = random.Random(66)
+        g10s = [generator_catalog(10, p)[0] for p in generator_patterns(10)]
+        cliques = [random_generator_combination(rng) for _ in range(300)] + g10s
+        for n in range(60):
+            part = random_generator_combination(rng, max_parts=3)
+            weight = Fraction(rng.randint(1, 3), rng.choice((1, 2, 4)))
+            cliques.append(g10s[n % len(g10s)] + part.scaled(weight))
+        statuses = []
+        for f in cliques:
+            exact = lpsolver.solve(_reference_exact_lp(f)).status
+            presolve = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False)).status
+            assert exact == presolve
+            statuses.append(exact)
+        assert {lpsolver.OPTIMAL, lpsolver.INFEASIBLE} <= set(statuses)
 
     def test_sweep_covers_every_second_onset_once(self):
         onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
@@ -472,3 +520,16 @@ def test_invariant_check_survives_optimize_flag():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no invariant of the package
+    # may rest on one: each check raises an exception of its own.
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "subquad")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
