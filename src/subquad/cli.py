@@ -123,6 +123,17 @@ def _cmd_nearest(args) -> int:
     return 0
 
 
+def _count(spec: str) -> int:
+    """A variable, auxiliary or arity count: an integer >= 0."""
+    try:
+        n = int(spec)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {spec!r}")
+    return n
+
+
 def _anchor(spec: str) -> int:
     """The --anchor labeling: comma-separated 1-based indices, empty for
     the all-zeros labeling."""
@@ -215,13 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in (("reduce", _cmd_reduce), ("nearest", _cmd_nearest)):
         p = sub.add_parser(name, help=f"{name} a function against a monotone-table set")
         p.add_argument("file")
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--k", type=_count, required=True)
         p.add_argument("--mbfs", default=None, help="all|pruned|generators|<table file>")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("overestimate", help="tightest dominating quadratic, exact at the anchor")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--mbfs", default=None)
     p.add_argument("--anchor", type=_anchor, required=True, help="comma-separated 1-based indices, empty for the all-zeros labeling")
     p.set_defaults(fn=_cmd_overestimate)
@@ -234,15 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force check of a reduction")
     p.add_argument("f_file")
     p.add_argument("h_file")
-    p.add_argument("--avs", type=int, required=True)
+    p.add_argument("--avs", type=_count, required=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("mbf-count", help="number of monotone tables")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_count)
     p.set_defaults(fn=_cmd_mbf_count)
 
     p = sub.add_parser("mbf-dump", help="list monotone tables as bit-strings")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_count)
     p.set_defaults(fn=_cmd_mbf_dump)
 
     p = sub.add_parser("gen-table", help="print one generator catalog row")

@@ -5,7 +5,9 @@ kappa(x) * z where kappa(x) = g - sum_i w_i x_i.  Its optimal state per
 labeling S is 1 exactly when kappa(S) < 0 (a tie at zero resolves to 0),
 so each parameter vector induces an upward-closed family of labelings on
 which the variable switches on.  Monotone Boolean functions are the same
-objects seen as truth tables; their count per arity is the Dedekind number.
+objects seen as truth tables (``MbfTable``); their count per arity is the
+Dedekind number.  ``induced_mbf`` is the package's one derivation of an
+auxiliary's optimal states from a quadratic, and ``is_monotone`` audits it.
 """
 
 from __future__ import annotations
@@ -155,25 +157,22 @@ def induced_mbf(h: QuadraticPoly, av: int) -> MbfTable:
     ``av`` is the variable's global 1-based index inside h's auxiliary
     block.  For each x labeling the other auxiliary variables are minimized
     out; a tie between the two states of ``av`` resolves to 0.  Requires h
-    submodular, otherwise the resulting table need not be monotone.
+    submodular, otherwise the resulting table need not be monotone.  Reads
+    one value table of h, so like every exhaustive check it refuses more
+    than ENUMERATION_CAP variables.
     """
     if not h.n_x < av <= h.n_vars:
         raise ValueError("av must index the auxiliary block")
     if not h.is_submodular():
         raise ValueError("induced state is only meaningful for submodular h")
-    a = av - h.n_x
-    a_bit = 1 << (a - 1)
+    a_bit = 1 << (av - h.n_x - 1)
+    values = h.poly.evaluate_all()  # h(x, z) at index x | z << n_x
+    stride = 1 << h.n_x
     bits = 0
-    for x in range(1 << h.n_x):
-        best0 = best1 = None
-        for z in range(1 << h.n_z):
-            v = h.evaluate(x, z)
-            if z & a_bit:
-                if best1 is None or v < best1:
-                    best1 = v
-            else:
-                if best0 is None or v < best0:
-                    best0 = v
+    for x in range(stride):
+        over_z = values[x::stride]
+        best0 = min(v for z, v in enumerate(over_z) if not z & a_bit)
+        best1 = min(v for z, v in enumerate(over_z) if z & a_bit)
         if best1 < best0:
             bits |= 1 << x
     return MbfTable(h.n_x, bits)

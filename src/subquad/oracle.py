@@ -4,7 +4,9 @@ Everything here works by full enumeration of labelings and never shares a
 code path with the solvers it checks (evaluation goes through the plain
 subset-sum in MultilinearPoly, which is itself pinned by hand-computed
 vectors in the tests).  A reduction is checked from one value table of
-the target and one of the quadratic over all of its variables.
+the target and one of the quadratic over all of its variables, and
+reported as one gap per labeling.  The auxiliaries' induced states are
+derived in one place only, ``mbf.induced_mbf``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class VerificationReport:
 
     rows: tuple[LabelingRow, ...]
     passed: bool
-    av_monotone: tuple[bool, ...]
 
     @property
     def gaps(self) -> dict[int, Fraction]:
@@ -50,21 +51,11 @@ def brute_min(f: MultilinearPoly) -> tuple[Fraction, int]:
     return best, best_mask
 
 
-def _monotone(bits: list[int], k: int) -> bool:
-    for mask in range(1 << k):
-        for i in range(k):
-            if not mask >> i & 1 and bits[mask] > bits[mask | (1 << i)]:
-                return False
-    return True
-
-
 def verify_reduction(f: MultilinearPoly, h: QuadraticPoly) -> VerificationReport:
     """Check f(x) = min over aux assignments of h(x, z) on every labeling.
 
     Gap rows report f(x) - min_z h(x, z); the report passes when all gaps
-    vanish.  The induced state of each auxiliary variable is also extracted
-    and tested for monotonicity, since a sound submodular reduction cannot
-    produce a non-monotone one.
+    vanish.
     """
     if h.n_x != f.n_vars:
         raise ValueError("h must have one original variable per variable of f")
@@ -74,21 +65,11 @@ def verify_reduction(f: MultilinearPoly, h: QuadraticPoly) -> VerificationReport
     h_values = h.poly.evaluate_all()  # h(x, z) at index x | z << n_x
     stride = 1 << h.n_x
     rows = []
-    # induced[a][x]: optimal state of auxiliary a + 1 at x, minimizing over
-    # the other auxiliaries; a tie is resolved to 0
-    induced = [[0] * stride for _ in range(h.n_z)]
     for x in range(stride):
         over_z = h_values[x::stride]
         hmin = min(over_z)
         rows.append(LabelingRow(x, f_values[x], hmin, f_values[x] - hmin, over_z.index(hmin)))
-        for a, bits in enumerate(induced):
-            bit = 1 << a
-            best0 = min(v for z, v in enumerate(over_z) if not z & bit)
-            best1 = min(v for z, v in enumerate(over_z) if z & bit)
-            bits[x] = 1 if best1 < best0 else 0
-    ok = all(row.gap == 0 for row in rows)
-    mono = tuple(_monotone(bits, h.n_x) for bits in induced)
-    return VerificationReport(tuple(rows), ok, mono)
+    return VerificationReport(tuple(rows), all(row.gap == 0 for row in rows))
 
 
 def format_report(report: VerificationReport) -> str:

@@ -45,10 +45,10 @@ from functools import cache
 from itertools import combinations, permutations
 
 from . import lpsolver
-from .mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient
+from .mbf import AvParams, MbfTable, enumerate_mbfs, min_contribution, partition_coefficient
 from .oracle import verify_reduction
 from .pbf import (
-    InvariantError,
+    InvariantError as InvariantError,
     MultilinearPoly,
     QuadraticPoly,
     _require,
@@ -137,8 +137,8 @@ class JointQuadratic:
 # The exact feasibility programs
 
 
-FORWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 3)
-BACKWARD_SET = frozenset(m for m in range(16) if m.bit_count() >= 2)
+FORWARD_SET = MbfTable.threshold(4, 3)
+BACKWARD_SET = MbfTable.threshold(4, 2)
 
 
 def _add_av_variables(lp: lpsolver.LinearProgram) -> None:
@@ -150,33 +150,63 @@ def _add_av_variables(lp: lpsolver.LinearProgram) -> None:
     lp.add_variable("j12")
 
 
+def _kappa_form(tag: str, mask: int) -> dict[str, int]:
+    """kappa(S) = g - sum over S of w_i of auxiliary ``tag`` as a linear
+    form in (g{tag}, w{tag}_1..w{tag}_4)."""
+    row = {f"g{tag}": 1}
+    for i in indices_of(mask):
+        row[f"w{tag}_{i}"] = -1
+    return row
+
+
 def _zpart_form(mask: int, z1: int, z2: int) -> dict[str, int]:
     """W(S) at the joint state (z1, z2) as a linear form in (g1, w1_i, g2,
     w2_i, j12)."""
     row: dict[str, int] = {}
     for z, tag in ((z1, "1"), (z2, "2")):
         if z:
-            row[f"g{tag}"] = 1
-            for i in range(1, 5):
-                if mask >> (i - 1) & 1:
-                    row[f"w{tag}_{i}"] = -1
+            row.update(_kappa_form(tag, mask))
     if z1 and z2:
         row["j12"] = -1
     return row
 
 
-def _add_sign_rows(lp: lpsolver.LinearProgram, on2: frozenset) -> None:
+def _add_sign_rows(lp: lpsolver.LinearProgram, on2: MbfTable) -> None:
     """Each auxiliary's coefficient is non-positive on its on-set
     (FORWARD_SET for the first) and non-negative off it."""
     for mask in range(16):
-        for z1, z2, on in ((1, 0, mask in FORWARD_SET), (0, 1, mask in on2)):
-            lp.add_constraint(_zpart_form(mask, z1, z2), "<=" if on else ">=", 0)
+        for tag, table in (("1", FORWARD_SET), ("2", on2)):
+            lp.add_constraint(_kappa_form(tag, mask), "<=" if table.value(mask) else ">=", 0)
 
 
-def _states(mask: int, on2: frozenset) -> tuple[int, int]:
+def _states(mask: int, on2: MbfTable) -> tuple[int, int]:
     """Prescribed joint state at a labeling: the first auxiliary on exactly
     on FORWARD_SET, the second on exactly on on2."""
-    return (1 if mask in FORWARD_SET else 0, 1 if mask in on2 else 0)
+    return FORWARD_SET.value(mask), on2.value(mask)
+
+
+def _moebius(top: int, on2: MbfTable) -> dict[str, int]:
+    """The coefficient of the monomial ``top`` in W at the prescribed
+    states, as a linear form: the alternating sum of W over the subsets of
+    top."""
+    row: dict[str, int] = {}
+    sub = top
+    while True:
+        sign = -1 if (top ^ sub).bit_count() & 1 else 1
+        for name, c in _zpart_form(sub, *_states(sub, on2)).items():
+            row[name] = row.get(name, 0) + sign * c
+        if sub == 0:
+            return row
+        sub = (sub - 1) & top
+
+
+@cache
+def _xpart_columns() -> tuple[tuple[str, int, int], ...]:
+    """The nearest program's x-part columns as (name, monomial, sign): the
+    free constant and linear coefficients, then the non-negative pair
+    magnitudes, which enter the x-part negated."""
+    linear = [("b0", 0, 1)] + [(f"b{i}", 1 << (i - 1), 1) for i in range(1, 5)]
+    return tuple(linear + [("bp_%d%d" % indices_of(pm), pm, -1) for pm in PAIR_MASKS])
 
 
 def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
@@ -185,24 +215,13 @@ def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
     minimized, the per-threshold sign pattern on every labeling, and
     non-negativity of all bilinear magnitudes."""
     lp = lpsolver.LinearProgram()
-    lp.add_variable("b0", lower=None)
-    for i in range(1, 5):
-        lp.add_variable(f"b{i}", lower=None)
-    for pm in PAIR_MASKS:
-        i, j = indices_of(pm)
-        lp.add_variable(f"bp_{i}{j}")
+    for name, _, sign in _xpart_columns():
+        lp.add_variable(name, lower=None if sign > 0 else 0)
     _add_av_variables(lp)
 
     objective: dict[str, Fraction] = {}
     for mask in range(16):
-        row: dict[str, Fraction | int] = {"b0": Fraction(1)}
-        for i in range(1, 5):
-            if mask >> (i - 1) & 1:
-                row[f"b{i}"] = Fraction(1)
-        for pm in PAIR_MASKS:
-            if mask & pm == pm:
-                i, j = indices_of(pm)
-                row[f"bp_{i}{j}"] = Fraction(-1)
+        row = {name: sign for name, mono, sign in _xpart_columns() if mask & mono == mono}
         row.update(_zpart_form(mask, *_states(mask, BACKWARD_SET)))
         target = f.value(mask)
         slack = f"d_{mask}"
@@ -216,7 +235,7 @@ def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
 
 
 def _states_lp(
-    f: QuarticFunction, on2: frozenset, sign_rows: bool = False, dominance: bool = True
+    f: QuarticFunction, on2: MbfTable, sign_rows: bool = False, dominance: bool = True
 ) -> lpsolver.LinearProgram:
     """Program in the auxiliary coefficients alone, with the optimal state
     of each auxiliary prescribed: the first on exactly on FORWARD_SET
@@ -234,29 +253,12 @@ def _states_lp(
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
     for top in TRIPLES + (FULL4,):
-        row: dict[str, int] = {}
-        bits = top.bit_count()
-        sub = top
-        while True:
-            sign = 1 if (bits - sub.bit_count()) % 2 == 0 else -1
-            for name, c in _zpart_form(sub, *_states(sub, on2)).items():
-                row[name] = row.get(name, 0) + sign * c
-            if sub == 0:
-                break
-            sub = (sub - 1) & top
-        lp.add_constraint(row, "==", f.poly.terms.get(top, Fraction(0)))
+        lp.add_constraint(_moebius(top, on2), "==", f.poly.terms.get(top, Fraction(0)))
     for pm in PAIR_MASKS:
         # pair coefficient of f - W must stay non-positive; the Moebius sum
         # over the pair includes singleton and empty corrections so that
         # on-sets reaching below size two are still handled exactly
-        row: dict[str, int] = {}
-        for name, c in _zpart_form(pm, *_states(pm, on2)).items():
-            row[name] = -c
-        for s in indices_of(pm):
-            for name, c in _zpart_form(1 << (s - 1), *_states(1 << (s - 1), on2)).items():
-                row[name] = row.get(name, 0) + c
-        for name, c in _zpart_form(0, *_states(0, on2)).items():
-            row[name] = row.get(name, 0) - c
+        row = {name: -c for name, c in _moebius(pm, on2).items()}
         lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
     if sign_rows:
         _add_sign_rows(lp, on2)
@@ -275,12 +277,15 @@ def _states_lp(
     return lp
 
 
+def _av(values: dict[str, Fraction], tag: str) -> AvParams:
+    """Auxiliary ``tag``'s parameters read off a program solution."""
+    return AvParams(values[f"g{tag}"], tuple(values[f"w{tag}_{i}"] for i in range(1, 5)))
+
+
 def _av_params(values: dict[str, Fraction]) -> tuple[AvParams, AvParams, Fraction]:
     """The two auxiliaries' parameters and their interaction, read off a
     solution of any of the programs above."""
-    av1 = AvParams(values["g1"], tuple(values[f"w1_{i}"] for i in range(1, 5)))
-    av2 = AvParams(values["g2"], tuple(values[f"w2_{i}"] for i in range(1, 5)))
-    return av1, av2, values["j12"]
+    return _av(values, "1"), _av(values, "2"), values["j12"]
 
 
 def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> JointQuadratic:
@@ -346,18 +351,18 @@ def decompose_over_generators(f: QuarticFunction) -> list[tuple[int, tuple, Frac
 
 
 @cache
-def _second_onsets() -> list[frozenset]:
-    """The second auxiliary's 114 singleton-free monotone on-sets, larger
-    first, so the backward threshold |S| >= 2 leads; ``reduce_quartic``
-    decides that one in its presolves and sweeps the rest."""
-    onsets = (frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4))
+def _second_onsets() -> list[MbfTable]:
+    """The second auxiliary's 114 singleton-free monotone tables, larger
+    on-sets first, then by their sorted on-labelings, so the backward
+    threshold |S| >= 2 leads; ``reduce_quartic`` decides that one in its
+    presolves and sweeps the rest."""
     return sorted(
-        (u for u in onsets if all(m.bit_count() >= 2 for m in u)),
-        key=lambda u: (-len(u), sorted(u)),
+        (t for t in enumerate_mbfs(4) if all(m.bit_count() >= 2 for m in range(16) if t.value(m))),
+        key=lambda t: (-t.bits.bit_count(), [m for m in range(16) if t.value(m)]),
     )
 
 
-def _try_states(f: QuarticFunction, on2: frozenset, sign_rows: bool = False) -> JointQuadratic | None:
+def _try_states(f: QuarticFunction, on2: MbfTable, sign_rows: bool = False) -> JointQuadratic | None:
     sol = lpsolver.solve(_states_lp(f, on2, sign_rows))
     if sol.status != lpsolver.OPTIMAL:
         return None
@@ -433,12 +438,7 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
     sol = lpsolver.solve(_nearest_lp(f))
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
-    x_part = {0: sol.values["b0"]}
-    for i in range(1, 5):
-        x_part[1 << (i - 1)] = sol.values[f"b{i}"]
-    for pm in PAIR_MASKS:
-        i, j = indices_of(pm)
-        x_part[pm] = -sol.values[f"bp_{i}{j}"]
+    x_part = {mono: sign * sol.values[name] for name, mono, sign in _xpart_columns()}
     joint = JointQuadratic(MultilinearPoly(4, x_part), *_av_params(sol.values))
     report = verify_reduction(f.poly, joint.to_quadratic())
     distance = sum((abs(g) for g in report.gaps.values()), Fraction(0))
@@ -451,10 +451,12 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
 # Generator catalog
 
 
-def _pattern_poly(terms, pattern):
-    mapping = {pos + 1: var for pos, var in enumerate(pattern)}
+def _pattern_poly(n_vars, terms, pattern):
+    """Catalog terms with the roles 1..4 moved onto ``pattern``; the
+    auxiliary indices 5 and 6 stay in place."""
+    mapping = {pos + 1: var for pos, var in enumerate(pattern)} | {5: 5, 6: 6}
     return MultilinearPoly.from_terms(
-        4, [([mapping[i] for i in idxs], c) for idxs, c in terms]
+        n_vars, [([mapping[i] for i in idxs], c) for idxs, c in terms]
     )
 
 
@@ -528,22 +530,11 @@ def generator_catalog(group: int, pattern: tuple[int, int, int, int]) -> tuple[Q
     if sorted(pattern) != [1, 2, 3, 4]:
         raise ValueError("pattern must be a permutation of 1 2 3 4")
     f_terms, h_terms = _CATALOG[group]
-    f = QuarticFunction(_pattern_poly(f_terms, pattern))
+    f = QuarticFunction(_pattern_poly(4, f_terms, pattern))
     if h_terms is None:
         return f, None
-    mapping = {pos + 1: var for pos, var in enumerate(pattern)}
-    mapping[5] = 5
-    mapping[6] = 6
-    if any(6 in idxs for idxs, _ in h_terms):
-        n_z = 2
-    elif any(5 in idxs for idxs, _ in h_terms):
-        n_z = 1
-    else:
-        n_z = 0
-    hp = MultilinearPoly.from_terms(
-        4 + n_z, [([mapping[i] for i in idxs], c) for idxs, c in h_terms]
-    )
-    return f, QuadraticPoly(hp, 4, n_z)
+    n_z = max(0, *(i - 4 for idxs, _ in h_terms for i in idxs))
+    return f, QuadraticPoly(_pattern_poly(4 + n_z, h_terms, pattern), 4, n_z)
 
 
 def generator_patterns(group: int) -> list[tuple[int, int, int, int]]:
@@ -821,56 +812,34 @@ def _split_lp(p: AvParams):
         lp.add_variable(f"rho_{pm}")
     lp.add_variable("gt", lower=None)
     lp.add_variable("gr", lower=None)
-    for i in range(4):
+    for i in range(1, 5):
         lp.add_variable(f"wt_{i}")
         lp.add_variable(f"wr_{i}")
 
-    def kt(mask):
-        row = {"gt": Fraction(1)}
-        for i in range(4):
-            if mask >> i & 1:
-                row[f"wt_{i}"] = Fraction(-1)
-        return row
-
-    def kr(mask):
-        row = {"gr": Fraction(1)}
-        for i in range(4):
-            if mask >> i & 1:
-                row[f"wr_{i}"] = Fraction(-1)
-        return row
-
     for pm in PAIR_MASKS:
-        lp.add_constraint(kt(pm), ">=", 0)
-        lp.add_constraint(kr(pm), "<=", 0)
+        lp.add_constraint(_kappa_form("t", pm), ">=", 0)
+        lp.add_constraint(_kappa_form("r", pm), "<=", 0)
     for e in range(4):
-        lp.add_constraint(kr(1 << e), ">=", 0)
-        lp.add_constraint(kt(1 << e), ">=", 0)
+        lp.add_constraint(_kappa_form("r", 1 << e), ">=", 0)
+        lp.add_constraint(_kappa_form("t", 1 << e), ">=", 0)
     for top in TRIPLES + (FULL4,):
-        lp.add_constraint(kt(top), "<=", 0)
+        lp.add_constraint(_kappa_form("t", top), "<=", 0)
 
     for pm in PAIR_MASKS:
-        row = dict(kr(pm))
-        row[f"rho_{pm}"] = Fraction(-1)
-        lp.add_constraint(row, "==", min_contribution(p, pm))
+        lp.add_constraint(_kappa_form("r", pm) | {f"rho_{pm}": -1}, "==", min_contribution(p, pm))
     for top in TRIPLES + (FULL4,):
-        row = dict(kr(top))
-        for name, c in kt(top).items():
-            row[name] = row.get(name, Fraction(0)) + c
+        row = _kappa_form("r", top) | _kappa_form("t", top)
         for pm in PAIR_MASKS:
             if pm & top == pm:
-                row[f"rho_{pm}"] = row.get(f"rho_{pm}", Fraction(0)) - 1
+                row[f"rho_{pm}"] = -1
         lp.add_constraint(row, "==", min_contribution(p, top))
 
-    lp.set_objective({f"wt_{i}": 1 for i in range(4)} | {f"wr_{i}": 1 for i in range(4)})
+    lp.set_objective({f"wt_{i}": 1 for i in range(1, 5)} | {f"wr_{i}": 1 for i in range(1, 5)})
     sol = lpsolver.solve(lp)
     if sol.status != lpsolver.OPTIMAL:
         return None
     residual = MultilinearPoly(4, {pm: -sol.values[f"rho_{pm}"] for pm in PAIR_MASKS})
-    avs = [
-        AvParams(sol.values[f"g{prefix}"], tuple(sol.values[f"w{prefix}_{i}"] for i in range(4)))
-        for prefix in ("t", "r")
-    ]
-    return residual, avs
+    return residual, [_av(sol.values, "t"), _av(sol.values, "r")]
 
 
 def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:

@@ -184,6 +184,25 @@ def test_overestimate_rejects_a_bad_anchor(files, capsys, anchor):
     assert f"argument --anchor: expected comma-separated indices >= 1, got {anchor!r}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["reduce", "{cube}", "--k", "-1"], "--k", "-1"),
+        (["nearest", "{cube}", "--k", "-1"], "--k", "-1"),
+        (["overestimate", "{sup}", "--k", "-2", "--anchor", "1"], "--k", "-2"),
+        (["verify", "{cube}", "{h_cube}", "--avs", "-1"], "--avs", "-1"),
+        (["mbf-count", "-1"], "k", "-1"),
+        (["mbf-dump", "-1"], "k", "-1"),
+        (["mbf-dump", "x"], "k", "x"),
+    ],
+)
+def test_count_arguments_refuse_negatives(files, capsys, argv, name, value):
+    code = cli.main([a.format(**files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"argument {name}: expected an integer >= 0, got {value!r}" in err
+
+
 def test_overestimate_empty_anchor_is_all_zeros(files, capsys):
     code, out = run(capsys, ["overestimate", files["sup"], "--k", "2", "--anchor", ""])
     assert code == 0

@@ -119,6 +119,11 @@ class TestInducedMbf:
         with pytest.raises(ValueError):
             induced_mbf(h, 3)
 
+    def test_refuses_more_than_20_variables(self):
+        h = QuadraticPoly(MultilinearPoly.from_terms(21, [((21,), 1)]), 20, 1)
+        with pytest.raises(ValueError, match="refuses n > 20"):
+            induced_mbf(h, 21)
+
 
 def test_min_contribution_matches_direct():
     rng = random.Random(2)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from subquad.oracle import LabelingRow, VerificationReport, _monotone, brute_min, format_report, verify_reduction
+from subquad.mbf import induced_mbf, is_monotone
+from subquad.oracle import LabelingRow, VerificationReport, brute_min, format_report, verify_reduction
 from subquad.pbf import MultilinearPoly, QuadraticPoly
 
 
@@ -42,7 +43,7 @@ class TestVerifyReduction:
         )
         report = verify_reduction(f, h)
         assert report.passed
-        assert all(report.av_monotone)
+        assert is_monotone(induced_mbf(h, 4))
         assert all(row.gap == 0 for row in report.rows)
 
     def test_no_aux(self):
@@ -75,30 +76,33 @@ class TestVerifyReduction:
 
 def reference_report(f, h):
     """verify_reduction as per-labeling loops: one evaluation of h per
-    (x, z) for the minimum and again per auxiliary for its induced bit."""
+    (x, z) for the minimum."""
     rows = []
     for x in range(1 << f.n_vars):
         fv = f.evaluate(x)
         hmin, zarg = h.min_over_aux(x)
         rows.append(LabelingRow(x, fv, hmin, fv - hmin, zarg))
+    return VerificationReport(tuple(rows), all(row.gap == 0 for row in rows))
 
-    def induced_bits(av):
-        bits = []
-        a_bit = 1 << (av - 1)
-        for x in range(1 << h.n_x):
-            best0 = best1 = None
-            for z in range(1 << h.n_z):
-                v = h.evaluate(x, z)
-                if z & a_bit:
-                    if best1 is None or v < best1:
-                        best1 = v
-                elif best0 is None or v < best0:
-                    best0 = v
-            bits.append(1 if best1 < best0 else 0)
-        return bits
 
-    mono = tuple(_monotone(induced_bits(a), h.n_x) for a in range(1, h.n_z + 1))
-    return VerificationReport(tuple(rows), all(row.gap == 0 for row in rows), mono)
+def reference_induced_bits(h, av):
+    """induced_mbf as per-labeling loops: one evaluation of h per (x, z),
+    the better state of auxiliary ``av`` (1-based in the auxiliary block),
+    a tie resolved to 0."""
+    bits = 0
+    a_bit = 1 << (av - 1)
+    for x in range(1 << h.n_x):
+        best0 = best1 = None
+        for z in range(1 << h.n_z):
+            v = h.evaluate(x, z)
+            if z & a_bit:
+                if best1 is None or v < best1:
+                    best1 = v
+            elif best0 is None or v < best0:
+                best0 = v
+        if best1 < best0:
+            bits |= 1 << x
+    return bits
 
 
 def random_reduction(rng, n_z):
@@ -124,12 +128,17 @@ def random_reduction(rng, n_z):
 @pytest.mark.parametrize("n_z", [0, 1, 2, 3])
 def test_report_matches_per_labeling_loops(n_z):
     rng = random.Random(60 + n_z)
-    ties = 0
+    ties = induced = 0
     for _ in range(60):
         f, h = random_reduction(rng, n_z)
         report = verify_reduction(f, h)
         assert report == reference_report(f, h)
         ties += sum(list(h.poly.evaluate_all()[row.x::1 << h.n_x]).count(row.h_min) > 1
                     for row in report.rows)
+        if h.is_submodular():
+            for a in range(1, h.n_z + 1):
+                assert induced_mbf(h, h.n_x + a).bits == reference_induced_bits(h, a)
+                induced += 1
     if n_z:
         assert ties > 0  # the tie rules were exercised
+        assert induced > 0

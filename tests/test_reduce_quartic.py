@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from subquad import lpsolver
 from subquad import reduce_quartic as rq
-from subquad.mbf import AvParams, enumerate_mbfs, min_contribution, partition_coefficient
+from subquad.mbf import AvParams, enumerate_mbfs, induced_mbf, is_monotone, min_contribution, partition_coefficient
 from subquad.oracle import verify_reduction
 from subquad.pbf import MultilinearPoly
 from subquad.reduce_quartic import (
@@ -411,12 +412,18 @@ class TestSearchPrograms:
         assert {lpsolver.OPTIMAL, lpsolver.INFEASIBLE} <= set(statuses)
 
     def test_sweep_covers_every_second_onset_once(self):
-        onsets = [frozenset(m for m in range(16) if t.value(m)) for t in enumerate_mbfs(4)]
-        nosing = {u for u in onsets if all(m.bit_count() >= 2 for m in u)}
+        nosing = {t for t in enumerate_mbfs(4) if not any(t.value(m) for m in range(16) if m.bit_count() < 2)}
         second = _second_onsets()
         assert len(second) == len(set(second)) == 114
         assert set(second) == nosing
         assert second[0] == BACKWARD_SET
+
+    def test_sweep_order_is_pinned(self):
+        # recorded from the earlier frozenset on-sets as sorted mask lists;
+        # the sweep order decides which prescription a reduction lands on
+        onsets = [[m for m in range(16) if t.value(m)] for t in _second_onsets()]
+        digest = hashlib.sha256(repr(onsets).encode()).hexdigest()
+        assert digest == "d36db91e118412a1371282e52ed25bf20d9f03a3b75abc16afcf7b9c4b4b2d7f"
 
     @pytest.mark.parametrize("index", [405, 495])
     def test_search_bound(self, monkeypatch, index):
@@ -457,7 +464,7 @@ class TestSearchPrograms:
             lpsolver.solve = solve
         report = verify_reduction(f.poly, h)
         assert report.passed
-        assert all(report.av_monotone)
+        assert all(is_monotone(induced_mbf(h, av)) for av in range(5, 5 + h.n_z))
         assert h.drop_unused_aux().n_z <= 2
         assert len(calls) <= 116
 
@@ -522,14 +529,41 @@ def test_invariant_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips assert statements, so no invariant of the package
-    # may rest on one: each check raises an exception of its own.
+def _package_modules():
+    """(file name, syntax tree) of every module of the package."""
     package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "subquad")
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no invariant of the package
+    # may rest on one: each check raises an exception of its own.
+    found = []
+    for name, tree in _package_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # An import nothing reads is left over from a deletion.  A deliberate
+    # re-export is spelled ``X as X`` or listed in the module's __all__.
+    found = []
+    for name, tree in _package_modules():
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    if alias.asname != alias.name:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        found += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in used]
     assert found == []
