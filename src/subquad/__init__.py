@@ -6,7 +6,6 @@ from .pbf import (
     MultilinearPoly,
     NotSubmodularQuadratic,
     QuadraticPoly,
-    Rational,
     from_capacity_form,
     is_submodular,
     to_capacity_form,
@@ -17,7 +16,6 @@ __all__ = [
     "MultilinearPoly",
     "NotSubmodularQuadratic",
     "QuadraticPoly",
-    "Rational",
     "from_capacity_form",
     "is_submodular",
     "to_capacity_form",

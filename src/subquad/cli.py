@@ -13,12 +13,11 @@ import sys
 
 from . import lpsolver
 from .maxflow import minimize_quadratic
-from .mbf import MbfTable, enumerate_mbfs, prune_mbf_set
+from .mbf import MBF_ENUMERATION_CAP, MbfTable, enumerate_mbfs, prune_mbf_set
 from .oracle import format_report, verify_reduction
 from .pbf import (
     InvariantError,
     MultilinearPoly,
-    NotSubmodularQuadratic,
     PolyParseError,
     QuadraticPoly,
     format_polynomial,
@@ -145,6 +144,15 @@ def _anchor(spec: str) -> int:
         raise argparse.ArgumentTypeError(f"expected comma-separated indices >= 1, got {spec!r}") from None
 
 
+class _Permutation(argparse.Action):
+    """gen-table's pattern: the indices 1 2 3 4 in some order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if sorted(values) != [1, 2, 3, 4]:
+            raise argparse.ArgumentError(self, f"expected a permutation of 1 2 3 4, got {' '.join(map(str, values))}")
+        setattr(namespace, self.dest, values)
+
+
 def _cmd_overestimate(args) -> int:
     problem = _problem_from_args(args)
     result = overestimate(problem, args.anchor)
@@ -249,16 +257,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("mbf-count", help="number of monotone tables")
-    p.add_argument("k", type=_count)
+    p.add_argument("k", type=_count, choices=range(MBF_ENUMERATION_CAP + 1), metavar="k")
     p.set_defaults(fn=_cmd_mbf_count)
 
     p = sub.add_parser("mbf-dump", help="list monotone tables as bit-strings")
-    p.add_argument("k", type=_count)
+    p.add_argument("k", type=_count, choices=range(MBF_ENUMERATION_CAP + 1), metavar="k")
     p.set_defaults(fn=_cmd_mbf_dump)
 
     p = sub.add_parser("gen-table", help="print one generator catalog row")
-    p.add_argument("group", type=int)
-    p.add_argument("pattern", type=int, nargs=4)
+    p.add_argument("group", type=int, choices=range(1, 11), metavar="group")
+    p.add_argument("pattern", type=int, nargs=4, action=_Permutation)
     p.set_defaults(fn=_cmd_gen_table)
 
     return parser
@@ -278,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except NotSubmodularQuadratic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
     except (ValueError, NotRepresentable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE

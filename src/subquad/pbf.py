@@ -29,8 +29,6 @@ from itertools import islice
 from math import lcm
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 ENUMERATION_CAP = 20
 
 
@@ -133,9 +131,6 @@ class MultilinearPoly:
             add_into(acc, mask_of(indices), rat(coeff))
         return cls(n_vars, acc)
 
-    def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self.terms.get(mask_of(indices), Fraction(0))
-
     @property
     def degree(self) -> int:
         return max((m.bit_count() for m in self.terms), default=0)
@@ -180,60 +175,6 @@ class MultilinearPoly:
                     coeffs[m] -= coeffs[m ^ bit]
         return cls(n_vars, {m: c for m, c in enumerate(coeffs) if c != 0})
 
-    def restrict(self, assignment: Mapping[int, int]) -> "MultilinearPoly":
-        """Substitute constants for some variables (1-based index -> 0/1).
-
-        The result keeps the same variable numbering; assigned variables
-        simply no longer occur.
-        """
-        ones = 0
-        zeros = 0
-        for i, v in assignment.items():
-            if not 1 <= i <= self.n_vars:
-                raise ValueError(f"variable index {i} out of range")
-            if v not in (0, 1):
-                raise ValueError("assignment values must be 0 or 1")
-            if v:
-                ones |= 1 << (i - 1)
-            else:
-                zeros |= 1 << (i - 1)
-        acc: dict[int, Fraction] = {}
-        for mask, coeff in self.terms.items():
-            if mask & zeros:
-                continue
-            add_into(acc, mask & ~ones, coeff)
-        return MultilinearPoly(self.n_vars, acc)
-
-    def derivative(self, i: int) -> "MultilinearPoly":
-        """Discrete derivative with respect to x_i: f|x_i=1 - f|x_i=0."""
-        if not 1 <= i <= self.n_vars:
-            raise ValueError(f"variable index {i} out of range")
-        bit = 1 << (i - 1)
-        acc: dict[int, Fraction] = {}
-        for mask, coeff in self.terms.items():
-            if mask & bit:
-                add_into(acc, mask ^ bit, coeff)
-        return MultilinearPoly(self.n_vars, acc)
-
-    def second_derivative(self, i: int, j: int, x: int) -> Fraction:
-        """Four-point second difference at a labeling of the other variables."""
-        if i == j:
-            raise ValueError("second derivative needs two distinct variables")
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        base = x & ~(bi | bj)
-        return (
-            self.evaluate(base | bi | bj)
-            - self.evaluate(base | bi)
-            - self.evaluate(base | bj)
-            + self.evaluate(base)
-        )
-
-    def support_vars(self) -> tuple[int, ...]:
-        m = 0
-        for mask in self.terms:
-            m |= mask
-        return indices_of(m)
-
     def map_vars(self, mapping: Mapping[int, int], n_vars: int | None = None) -> "MultilinearPoly":
         """Relabel variables (old 1-based index -> new 1-based index)."""
         n = self.n_vars if n_vars is None else n_vars
@@ -259,12 +200,6 @@ class MultilinearPoly:
             add_into(acc, m, c)
         return MultilinearPoly(n, acc)
 
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "MultilinearPoly":
-        return self.scaled(-1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)
@@ -284,8 +219,10 @@ def is_submodular(f: MultilinearPoly) -> bool:
 
     Degree <= 1 is trivially submodular.  Degree 2 reduces to the signs of
     the bilinear coefficients.  Otherwise the mixed derivative of every
-    variable pair is enumerated over the labelings of its support, which
-    is refused above ENUMERATION_CAP variables.
+    variable pair {i, j} is read off the terms (a term on S contributes its
+    coefficient to the monomial S - {i, j}) and enumerated over the
+    labelings of its own support, which is refused above ENUMERATION_CAP
+    variables.
     """
     deg = f.degree
     if deg <= 1:
@@ -294,21 +231,24 @@ def is_submodular(f: MultilinearPoly) -> bool:
         return all(c <= 0 for m, c in f.terms.items() if m.bit_count() == 2)
     if f.n_vars > ENUMERATION_CAP:
         raise ValueError(f"submodularity enumeration refuses n > {ENUMERATION_CAP}")
-    n = f.n_vars
-    for i in range(1, n + 1):
-        di = f.derivative(i)
-        for j in range(i + 1, n + 1):
-            dij = di.derivative(j)
-            if not dij.terms:
-                continue
-            support = dij.support_vars()
-            for combo in range(1 << len(support)):
-                x = 0
-                for pos, var in enumerate(support):
-                    if combo >> pos & 1:
-                        x |= 1 << (var - 1)
-                if dij.evaluate(x) > 0:
-                    return False
+    mixed: dict[int, dict[int, Fraction]] = {}  # pair mask -> rest mask -> coefficient
+    for mask, coeff in f.terms.items():
+        bits = [1 << (i - 1) for i in indices_of(mask)]
+        for a, bi in enumerate(bits):
+            for bj in bits[a + 1:]:
+                add_into(mixed.setdefault(bi | bj, {}), mask ^ bi ^ bj, coeff)
+    for derivative in mixed.values():
+        support = 0
+        for rest, c in derivative.items():
+            if c:
+                support |= rest
+        x = support
+        while True:
+            if sum(c for rest, c in derivative.items() if rest & x == rest) > 0:
+                return False
+            if not x:
+                break
+            x = (x - 1) & support
     return True
 
 
@@ -347,11 +287,8 @@ class QuadraticPoly:
     def n_vars(self) -> int:
         return self.poly.n_vars
 
-    def bilinear_coefficients(self) -> dict[int, Fraction]:
-        return {m: c for m, c in self.poly.terms.items() if m.bit_count() == 2}
-
     def is_submodular(self) -> bool:
-        return all(c <= 0 for c in self.bilinear_coefficients().values())
+        return is_submodular(self.poly)
 
     def evaluate(self, x: int, z: int = 0) -> Fraction:
         return self.poly.evaluate(x | (z << self.n_x))

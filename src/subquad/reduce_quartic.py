@@ -87,12 +87,6 @@ class QuarticFunction:
     def from_terms(cls, items) -> "QuarticFunction":
         return cls(MultilinearPoly.from_terms(4, items))
 
-    def value(self, mask: int) -> Fraction:
-        return self.poly.evaluate(mask)
-
-    def is_submodular(self) -> bool:
-        return is_submodular(self.poly)
-
     def __add__(self, other: "QuarticFunction") -> "QuarticFunction":
         return QuarticFunction(self.poly + other.poly)
 
@@ -223,7 +217,7 @@ def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
     for mask in range(16):
         row = {name: sign for name, mono, sign in _xpart_columns() if mask & mono == mono}
         row.update(_zpart_form(mask, *_states(mask, BACKWARD_SET)))
-        target = f.value(mask)
+        target = f.poly.evaluate(mask)
         slack = f"d_{mask}"
         lp.add_variable(slack)
         objective[slack] = Fraction(1)
@@ -302,7 +296,7 @@ def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET)
             w += partition_coefficient(av2, mask)
         if z1 and z2:
             w -= j12
-        xvals.append(f.value(mask) - w)
+        xvals.append(f.poly.evaluate(mask) - w)
     x_part = MultilinearPoly.from_values(4, xvals)
     if x_part.degree > 2:
         raise lpsolver.LpInternalError("x-part failed to come out quadratic")
@@ -392,7 +386,7 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     the whole reducible cone, so a decomposable quartic that misses every
     one raises LpInternalError; no measured input has.
     """
-    if not f.is_submodular():
+    if not is_submodular(f.poly):
         raise ValueError("reduce_quartic needs a submodular quartic")
     sol = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False))
     if sol.status == lpsolver.OPTIMAL:
@@ -429,7 +423,7 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
     """L1-nearest joint quadratic: reduce_quartic's answer at distance 0,
     else the optimum of the nearest program, with the oracle-confirmed
     distance."""
-    if not f.is_submodular():
+    if not is_submodular(f.poly):
         raise ValueError("nearest_quartic needs a submodular quartic")
     try:
         return reduce_quartic(f), Fraction(0)

@@ -203,6 +203,24 @@ def test_count_arguments_refuse_negatives(files, capsys, argv, name, value):
     assert f"argument {name}: expected an integer >= 0, got {value!r}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name, message",
+    [
+        (["gen-table", "11", "1", "2", "3", "4"], "group", "invalid choice: 11"),
+        (["gen-table", "0", "1", "2", "3", "4"], "group", "invalid choice: 0"),
+        (["gen-table", "6", "1", "2", "3", "3"], "pattern", "expected a permutation of 1 2 3 4, got 1 2 3 3"),
+        (["gen-table", "6", "1", "2", "3", "5"], "pattern", "expected a permutation of 1 2 3 4, got 1 2 3 5"),
+        (["mbf-count", "6"], "k", "invalid choice: 6"),
+        (["mbf-dump", "6"], "k", "invalid choice: 6"),
+    ],
+)
+def test_range_arguments_are_usage_errors(capsys, argv, name, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert f"argument {name}: {message}" in captured.err
+
+
 def test_overestimate_empty_anchor_is_all_zeros(files, capsys):
     code, out = run(capsys, ["overestimate", files["sup"], "--k", "2", "--anchor", ""])
     assert code == 0
@@ -240,6 +258,7 @@ def test_unknown_flag_rejected(files, capsys):
 
 def test_minimize_rejects_supermodular(files, capsys):
     assert cli.main(["minimize", files["sup"]]) == 2
+    assert capsys.readouterr().err == "error: bilinear coefficient 1 on (1, 2) is positive\n"
 
 
 def test_outputs_stable_across_runs(files, capsys):

@@ -84,57 +84,6 @@ class TestEvaluate:
         assert MultilinearPoly.from_values(5, f.evaluate_all()) == f
 
 
-class TestDerivative:
-    def test_pair_term(self):
-        f = MultilinearPoly.from_terms(2, [((1, 2), -1)])
-        assert f.derivative(1) == MultilinearPoly.from_terms(2, [((2,), -1)])
-
-    def test_absent_variable(self):
-        f = MultilinearPoly.from_terms(3, [((1,), 1), ((2,), 1)])
-        assert f.derivative(3) == MultilinearPoly.zero(3)
-
-    def test_monomial(self):
-        assert NEG_QUARTIC.derivative(1) == MultilinearPoly.from_terms(4, [((2, 3, 4), -1)])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            G6.derivative(4)
-
-
-class TestSecondDerivative:
-    def test_constant_mixed_term(self):
-        f = MultilinearPoly.from_terms(2, [((1, 2), -1)])
-        for x in range(4):
-            assert f.second_derivative(1, 2, x) == -1
-
-    def test_separable(self):
-        f = MultilinearPoly.from_terms(2, [((1,), 1), ((2,), 1)])
-        assert f.second_derivative(1, 2, 0) == 0
-
-    def test_quartic_four_point(self):
-        assert NEG_QUARTIC.second_derivative(1, 2, 0b1100) == -1
-        assert NEG_QUARTIC.second_derivative(1, 2, 0b0100) == 0
-
-    def test_same_index_rejected(self):
-        with pytest.raises(ValueError):
-            G6.second_derivative(2, 2, 0)
-
-    def test_matches_iterated_derivative(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            terms = []
-            for _ in range(rng.randint(1, 8)):
-                size = rng.randint(0, n)
-                subset = tuple(rng.sample(range(1, n + 1), size))
-                terms.append((subset, Fraction(rng.randint(-4, 4), rng.choice([1, 2]))))
-            f = MultilinearPoly.from_terms(n, terms)
-            i, j = rng.sample(range(1, n + 1), 2)
-            dd = f.derivative(i).derivative(j)
-            for x in range(1 << n):
-                assert f.second_derivative(i, j, x) == dd.evaluate(x)
-
-
 class TestIsSubmodular:
     def test_neg_quartic_monomial(self):
         assert is_submodular(NEG_QUARTIC)
@@ -162,43 +111,28 @@ class TestIsSubmodular:
         f = MultilinearPoly.from_terms(25, [((7,), 3), ((21,), -2)])
         assert is_submodular(f)
 
+    def test_refuses_more_than_20_variables_above_degree_2(self):
+        with pytest.raises(ValueError):
+            is_submodular(MultilinearPoly.from_terms(21, [((1, 2, 21), -1)]))
+
     def test_agrees_with_lattice_oracle(self):
         rng = random.Random(23)
-        agree = 0
-        for _ in range(60):
-            n = rng.randint(2, 5)
+        outcomes = []
+        for _ in range(300):
+            n = rng.randint(2, 7)
             terms = []
-            for _ in range(rng.randint(1, 7)):
+            for _ in range(rng.randint(1, 8)):
                 size = rng.randint(0, n)
                 subset = tuple(rng.sample(range(1, n + 1), size))
-                terms.append((subset, Fraction(rng.randint(-3, 3))))
+                c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                if size >= 2 and rng.random() < 0.7:
+                    c = -abs(c)
+                terms.append((subset, c))
             f = MultilinearPoly.from_terms(n, terms)
-            assert is_submodular(f) == is_submodular_lattice(f)
-            agree += 1
-        assert agree == 60
-
-
-class TestRestrict:
-    def test_pair_at_one(self):
-        f = MultilinearPoly.from_terms(2, [((1, 2), -1)])
-        assert f.restrict({1: 1}) == MultilinearPoly.from_terms(2, [((2,), -1)])
-
-    def test_pair_at_zero(self):
-        f = MultilinearPoly.from_terms(2, [((1, 2), -1)])
-        assert f.restrict({1: 0}) == MultilinearPoly.zero(2)
-
-    def test_g6_at_x3(self):
-        got = G6.restrict({3: 1})
-        assert got == MultilinearPoly.from_terms(3, [((1,), -1), ((2,), -1)])
-
-    def test_pointwise_equality(self):
-        rng = random.Random(31)
-        f = random_submodular_quadratic(rng, 6).poly
-        r = f.restrict({2: 1, 5: 0})
-        for x in range(1 << 6):
-            if x & 0b10010:
-                continue
-            assert r.evaluate(x) == f.evaluate(x | 0b00010)
+            outcome = is_submodular(f)
+            assert outcome == is_submodular_lattice(f)
+            outcomes.append(outcome)
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
 
 class TestCapacityForm:
@@ -498,9 +432,9 @@ class TestTextFormat:
     def test_round_trip(self):
         text = "# target\n-1 : 1 2 3\n1/2 : 2\n5\n"
         f = parse_polynomial(text)
-        assert f.coefficient((1, 2, 3)) == -1
-        assert f.coefficient((2,)) == Fraction(1, 2)
-        assert f.coefficient(()) == 5
+        assert f.terms[mask_of((1, 2, 3))] == -1
+        assert f.terms[mask_of((2,))] == Fraction(1, 2)
+        assert f.terms[mask_of(())] == 5
         assert parse_polynomial(format_polynomial(f)) == f
 
     @settings(max_examples=300)
@@ -510,7 +444,7 @@ class TestTextFormat:
 
     def test_duplicates_sum(self):
         f = parse_polynomial("1 : 1 2\n1/3 : 2 1\n")
-        assert f.coefficient((1, 2)) == Fraction(4, 3)
+        assert f.terms[mask_of((1, 2))] == Fraction(4, 3)
 
     def test_zero_poly(self):
         assert parse_polynomial(format_polynomial(MultilinearPoly.zero(3)), 3) == MultilinearPoly.zero(3)

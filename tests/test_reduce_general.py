@@ -213,6 +213,16 @@ class TestProgressiveSubsets:
             assert nearest_quadratic(ReductionProblem(f, tables)) == want
             assert len(programs) == 1
 
+    @pytest.mark.parametrize("fit", [nearest_quadratic, lambda problem: overestimate(problem, 0)])
+    def test_size_guard_refuses_before_any_solve(self, monkeypatch, fit):
+        # the test_size_guard inputs: without the guard the progressive
+        # subsets would be solved, and overestimate would fail on columns
+        problem = ReductionProblem(MultilinearPoly.zero(5), tuple(enumerate_mbfs(5)[100:141]))
+        programs = self.counted_solves(monkeypatch)
+        with pytest.raises(ValueError, match=r"^refusing k > 4 with more than 40 tables$"):
+            fit(problem)
+        assert programs == []
+
     def test_quadratic_target_tries_the_empty_subset_first(self, monkeypatch):
         target = random_submodular_quadratic(random.Random(3), 3).poly
         assert target.terms.get(0b111, 0) == 0

@@ -16,7 +16,7 @@ from subquad import lpsolver
 from subquad import reduce_quartic as rq
 from subquad.mbf import AvParams, enumerate_mbfs, induced_mbf, is_monotone, min_contribution, partition_coefficient
 from subquad.oracle import verify_reduction
-from subquad.pbf import MultilinearPoly
+from subquad.pbf import MultilinearPoly, is_submodular
 from subquad.reduce_quartic import (
     BACKWARD_SET,
     PAIR_MASKS,
@@ -220,7 +220,7 @@ class TestCatalog:
     def test_rows_verify(self, group):
         for pattern in generator_patterns(group):
             f, h = generator_catalog(group, pattern)
-            assert f.is_submodular()
+            assert is_submodular(f.poly)
             assert verify_reduction(f.poly, h).passed
 
     def test_g6_shape(self):
@@ -240,7 +240,7 @@ class TestCatalog:
 
     def test_g10_has_none(self):
         f, h = generator_catalog(10, (1, 2, 3, 4))
-        assert h is None and f.is_submodular()
+        assert h is None and is_submodular(f.poly)
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -276,7 +276,7 @@ class TestReduceQuartic:
         h = reduce_quartic(f).to_quadratic()
         for mask in range(16):
             z = (mask.bit_count() >= 3) | (mask.bit_count() >= 2) << 1
-            assert h.evaluate(mask, z) == f.value(mask)
+            assert h.evaluate(mask, z) == f.poly.evaluate(mask)
 
     def test_g9_plus_g6_representable(self):
         f9, _ = generator_catalog(9, (1, 2, 3, 4))
@@ -339,7 +339,7 @@ def _reference_exact_lp(f):
     def prescribed_states(mask):
         return (1 if mask.bit_count() >= 3 else 0, 1 if mask.bit_count() >= 2 else 0)
 
-    if not f.is_submodular():
+    if not is_submodular(f.poly):
         raise ValueError("the exact program only applies to submodular quartics")
     lp = lpsolver.LinearProgram()
     lp.add_variable("b0", lower=None)
@@ -360,7 +360,7 @@ def _reference_exact_lp(f):
                 i, j = indices_of(pm)
                 row[f"bp_{i}{j}"] = Fraction(-1)
         row.update(rq._zpart_form(mask, *prescribed_states(mask)))
-        lp.add_constraint(row, "==", f.value(mask))
+        lp.add_constraint(row, "==", f.poly.evaluate(mask))
     rq._add_sign_rows(lp, BACKWARD_SET)
     lp.set_objective({})
     return lp
