@@ -1,5 +1,9 @@
 """Exact rational linear programming by two-phase primal simplex.
 
+Coefficients are kept as given when they are ints and coerced to Fraction
+otherwise (strings like '3/4' included), once, when a constraint or the
+objective is added; the solver reads numerator and denominator of either.
+
 The tableau is sparse and integer: each row (the two objective rows too)
 is a dict of its nonzero entries keyed by original column number, with the
 right-hand side under the key _RHS, and stands for the real tableau row
@@ -10,12 +14,16 @@ f = row[pc] != 0 by
 
     piv * row - f * prow
 
-over the union of the two supports (with piv and f first divided by
-their gcd), dropping zeros, and divides the result by the gcd of its
-entries; rows with no entry in column pc are not touched.  When piv < 0
-(only when an artificial is driven out: both phases pivot on positive
-entries) the pivot row is negated first, so every scale and every basic
-diagonal entry stays positive.
+(with piv and f first divided by their gcd) and divides the result by the
+gcd of its entries.  It does so in place: the row's entries are multiplied
+by the reduced piv only when that is not 1, f * prow is subtracted entry
+by entry, entries that reach zero are deleted, and the gcd division runs
+only when the gcd exceeds 1.  Rows with no entry in column pc are not
+touched.  When piv < 0 (only when an artificial is driven out: both phases
+pivot on positive entries) the pivot row is negated first, so every scale
+and every basic diagonal entry stays positive.  The tableau's dicts are
+the solver's own; a constraint's coefficient dict is only read, so
+programs may share rows.
 
 Every decision therefore reads the same as on the real tableau: the sign
 of each entry, each ratio rhs/a within a row and each rhs/diagonal.
@@ -35,7 +43,11 @@ tie-break compares, and a set marks those numbers.
 Free variables are split into differences of two non-negative columns;
 non-zero lower bounds are shifted away.  Infeasibility and unboundedness
 are reported as statuses, never exceptions.  Every optimal solution is
-re-substituted into the original constraints before it is returned.
+re-substituted into the original constraints before it is returned, in
+integers: the values are scaled once by the lcm D of their denominators,
+and each row's lhs at the scaled point, times the denominator of its rhs,
+is compared exactly with the rhs numerator times D.  Every constraint and
+every lower bound is checked, and a violation raises LpInternalError.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ class LpInternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: dict[str, Fraction]
+    coeffs: dict[str, int | Fraction]
     rel: str
     rhs: Fraction
 
@@ -80,7 +92,7 @@ class LinearProgram:
         self._order: list[str] = []
         self._lower: dict[str, Fraction | None] = {}
         self.constraints: list[Constraint] = []
-        self.objective: dict[str, Fraction] = {}
+        self.objective: dict[str, int | Fraction] = {}
 
     def add_variable(self, name: str, lower: object = 0) -> str:
         if name in self._lower:
@@ -93,12 +105,14 @@ class LinearProgram:
     def variables(self) -> list[str]:
         return list(self._order)
 
-    def _nonzero(self, coeffs: dict[str, object]) -> dict[str, Fraction]:
-        """The nonzero coefficients, each coerced once, over declared names."""
+    def _nonzero(self, coeffs: dict[str, object]) -> dict[str, int | Fraction]:
+        """The nonzero coefficients over declared names; ints stay ints,
+        anything else is coerced to Fraction once."""
         cl = {}
         for name, c in coeffs.items():
-            c = rat(c)
-            if c != 0:
+            if type(c) is not int:
+                c = rat(c)
+            if c:
                 if name not in self._lower:
                     raise ValueError(f"unknown variable {name!r}")
                 cl[name] = c
@@ -133,7 +147,8 @@ def _pivot(rows: list[dict[int, int]], pr: int, pc: int) -> None:
     prow = rows[pr]
     piv = prow[pc]
     if piv < 0:
-        prow = rows[pr] = {j: -v for j, v in prow.items()}
+        for j in prow:
+            prow[j] = -prow[j]
         piv = -piv
     pitems = prow.items()
     for i, row in enumerate(rows):
@@ -142,17 +157,19 @@ def _pivot(rows: list[dict[int, int]], pr: int, pc: int) -> None:
             continue
         g = gcd(piv, f)
         a, f = piv // g, f // g
-        new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+        if a != 1:
+            for j in row:
+                row[j] *= a
         for j, p in pitems:
-            v = new.get(j, 0) - f * p
+            v = row.get(j, 0) - f * p
             if v:
-                new[j] = v
+                row[j] = v
             else:
-                del new[j]
-        g = gcd(*new.values())
+                del row[j]
+        g = gcd(*row.values())
         if g > 1:
-            new = {j: v // g for j, v in new.items()}
-        rows[i] = new
+            for j in row:
+                row[j] //= g
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -169,7 +186,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         if lb:
             shift[name] = lb
 
-    def sparse_row(coeffs: dict[str, Fraction], scale: int, sign: int = 1) -> dict[int, int]:
+    def sparse_row(coeffs: dict[str, int | Fraction], scale: int, sign: int = 1) -> dict[int, int]:
         row = {}
         for name, c in coeffs.items():
             v = sign * c.numerator * (scale // c.denominator)
@@ -191,7 +208,11 @@ def solve(lp: LinearProgram) -> LpSolution:
         rhs = con.rhs - sum((c * shift[n] for n, c in con.coeffs.items() if n in shift), Fraction(0))
         sign = -1 if rhs < 0 else 1
         rel = con.rel if sign > 0 else _FLIPPED[con.rel]
-        scale = lcm(rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        # Star-arguments from a list, not a generator, here and below: CPython
+        # sizes a generator's tuple by a guess and resizes it, and the freed
+        # tuple then sits in the free list of its final size (up to 2000 per
+        # size), which showed as peak-RSS growth over thousands of solves.
+        scale = lcm(rhs.denominator, *[c.denominator for c in con.coeffs.values()])
         row = sparse_row(con.coeffs, scale, sign)
         if rhs:
             row[_RHS] = sign * rhs.numerator * (scale // rhs.denominator)
@@ -214,7 +235,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # Objective rows ride along at the bottom: phase 2 first, then phase 1.
     nrows = len(rows)
-    rows += [sparse_row(lp.objective, lcm(*(c.denominator for c in lp.objective.values()))), p1]
+    rows += [sparse_row(lp.objective, lcm(*[c.denominator for c in lp.objective.values()])), p1]
 
     def run_phase(obj_idx: int) -> str:
         while True:
@@ -276,13 +297,16 @@ def solve(lp: LinearProgram) -> LpSolution:
             if idx in col_value:
                 v += s * col_value[idx]
         values[name] = v
-    objective_value = sum(
-        (c * values[n] for n, c in lp.objective.items() if values[n]), Fraction(0)
-    )
+    # Re-validate in integers, at the values times their common denominator.
+    scale = lcm(*[v.denominator for v in values.values()])
+    scaled = {n: v.numerator * (scale // v.denominator) for n, v in values.items() if v}
+
+    def lhs(coeffs: dict[str, int | Fraction]) -> int | Fraction:
+        return sum(c * scaled[n] for n, c in coeffs.items() if n in scaled)
 
     for con in lp.constraints:
-        lhs = sum((c * values[n] for n, c in con.coeffs.items() if values[n]), Fraction(0))
-        ok = lhs <= con.rhs if con.rel == LESS else lhs >= con.rhs if con.rel == GREATER else lhs == con.rhs
+        left, right = lhs(con.coeffs) * con.rhs.denominator, con.rhs.numerator * scale
+        ok = left <= right if con.rel == LESS else left >= right if con.rel == GREATER else left == right
         if not ok:
             raise LpInternalError(f"solution violates {con.coeffs} {con.rel} {con.rhs}")
     for name in lp.variables:
@@ -290,4 +314,4 @@ def solve(lp: LinearProgram) -> LpSolution:
         if lb is not None and values[name] < lb:
             raise LpInternalError(f"solution violates bound on {name}")
 
-    return LpSolution(OPTIMAL, values, objective_value)
+    return LpSolution(OPTIMAL, values, Fraction(lhs(lp.objective), scale))

@@ -120,6 +120,16 @@ class MultilinearPoly:
         self.terms = clean
 
     @classmethod
+    def _validated(cls, n_vars: int, terms: dict[int, Fraction]) -> "MultilinearPoly":
+        """Take terms the caller has already made clean (masks within
+        n_vars >= 0, nonzero Fraction coefficients) without a second pass;
+        the dict is kept, not copied."""
+        poly = object.__new__(cls)
+        poly.n_vars = n_vars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, n_vars: int) -> "MultilinearPoly":
         return cls(n_vars, {})
 
@@ -151,7 +161,8 @@ class MultilinearPoly:
         if n > ENUMERATION_CAP:
             raise ValueError(f"evaluate_all refuses n > {ENUMERATION_CAP}")
         # integer sums over the common denominator, one Fraction per value
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        # a list, not a generator: see the note in lpsolver.solve
+        den = lcm(*[c.denominator for c in self.terms.values()])
         vals = [0] * (1 << n)
         for mask, coeff in self.terms.items():
             vals[mask] = coeff.numerator * (den // coeff.denominator)
@@ -468,8 +479,9 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
     """Parse the term-per-line format: ``<rational> [: i j k ...]``.
 
     '#' starts a comment, blank lines are skipped, duplicate subsets are
-    summed, and term order is irrelevant.  When n_vars is omitted it is
-    inferred from the largest index mentioned.
+    summed (sums that cancel to zero are dropped), and term order is
+    irrelevant.  When n_vars is omitted it is inferred from the largest index
+    mentioned.
     """
     acc: dict[int, Fraction] = {}
     max_index, max_at = 0, (1, "", 0)  # line number, line and token position of the largest index
@@ -510,7 +522,7 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
     if n < max_index:
         lineno, raw, pos = max_at
         raise PolyParseError(f"index {max_index} exceeds declared {n} variables", lineno, _index_column(raw, pos))
-    return MultilinearPoly(n, acc)
+    return MultilinearPoly._validated(n, {mask: c for mask, c in acc.items() if c})
 
 
 def format_polynomial(p: MultilinearPoly) -> str:

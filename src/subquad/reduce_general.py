@@ -280,7 +280,6 @@ def nearest_quadratic(problem: ReductionProblem) -> ReductionResult:
 def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     """Tightest one-sided fit: h dominates the target everywhere and meets
     it at the anchor labeling; minimizes the total overshoot."""
-    _check_size(problem)
     if anchor >> problem.k:
         raise ValueError("anchor labeling outside the target's variable range")
     lp = build_reduction_lp(problem)

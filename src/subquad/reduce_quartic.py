@@ -228,6 +228,44 @@ def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
     return lp
 
 
+# The states program's value-carrying rows, in order: the Moebius rows of
+# the triples and the full set, then the pair rows, each with the monomial
+# of f and the sign its coefficient takes on the right-hand side.
+_VALUED_ROWS = tuple((top, 1) for top in TRIPLES + (FULL4,)) + tuple((pm, -1) for pm in PAIR_MASKS)
+
+
+@cache
+def _states_rows(on2: MbfTable, sign_rows: bool, dominance: bool) -> tuple[lpsolver.Constraint, ...]:
+    """The states program's rows with every right-hand side 0; none of
+    their coefficients depends on f.  Shared by every program built for
+    these arguments (at most 114 on-sets times 3 flag combinations), so
+    neither the tuple nor a row's dict is ever mutated."""
+    lp = lpsolver.LinearProgram()
+    _add_av_variables(lp)
+    for mono, sign in _VALUED_ROWS:
+        # for the pairs: the pair coefficient of f - W must stay
+        # non-positive; the Moebius sum over the pair includes singleton and
+        # empty corrections so that on-sets reaching below size two are
+        # still handled exactly
+        row = {name: sign * c for name, c in _moebius(mono, on2).items()}
+        lp.add_constraint(row, "==" if sign > 0 else "<=", 0)
+    if sign_rows:
+        _add_sign_rows(lp, on2)
+    if dominance:
+        for mask in range(16):
+            z1, z2 = _states(mask, on2)
+            base = _zpart_form(mask, z1, z2)
+            for a1 in (0, 1):
+                for a2 in (0, 1):
+                    if (a1, a2) == (z1, z2):
+                        continue
+                    row = dict(base)
+                    for name, c in _zpart_form(mask, a1, a2).items():
+                        row[name] = row.get(name, 0) - c
+                    lp.add_constraint(row, "<=", 0)
+    return tuple(lp.constraints)
+
+
 def _states_lp(
     f: QuarticFunction, on2: MbfTable, sign_rows: bool = False, dominance: bool = True
 ) -> lpsolver.LinearProgram:
@@ -243,31 +281,19 @@ def _states_lp(
     rows, feasibility is equivalent to a verified reduction whose states
     follow (FORWARD_SET, on2); sign rows alone do not imply one, since the
     interaction j12 can make another joint state cheaper.
+
+    Only the 11 right-hand sides read off f are new; every row's
+    coefficients come from ``_states_rows``.
     """
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
-    for top in TRIPLES + (FULL4,):
-        lp.add_constraint(_moebius(top, on2), "==", f.poly.terms.get(top, Fraction(0)))
-    for pm in PAIR_MASKS:
-        # pair coefficient of f - W must stay non-positive; the Moebius sum
-        # over the pair includes singleton and empty corrections so that
-        # on-sets reaching below size two are still handled exactly
-        row = {name: -c for name, c in _moebius(pm, on2).items()}
-        lp.add_constraint(row, "<=", -f.poly.terms.get(pm, Fraction(0)))
-    if sign_rows:
-        _add_sign_rows(lp, on2)
-    if dominance:
-        for mask in range(16):
-            z1, z2 = _states(mask, on2)
-            base = _zpart_form(mask, z1, z2)
-            for a1 in (0, 1):
-                for a2 in (0, 1):
-                    if (a1, a2) == (z1, z2):
-                        continue
-                    row = dict(base)
-                    for name, c in _zpart_form(mask, a1, a2).items():
-                        row[name] = row.get(name, 0) - c
-                    lp.add_constraint(row, "<=", 0)
+    rows = _states_rows(on2, sign_rows, dominance)
+    terms = f.poly.terms
+    lp.constraints = [
+        lpsolver.Constraint(con.coeffs, con.rel, sign * terms.get(mono, Fraction(0)))
+        for con, (mono, sign) in zip(rows, _VALUED_ROWS)
+    ]
+    lp.constraints += rows[len(_VALUED_ROWS) :]
     return lp
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import random_generator_combination, random_submodular_cubic
+from subquad import lpsolver
 from subquad.lpsolver import EQUAL, GREATER, INFEASIBLE, LESS, OPTIMAL, UNBOUNDED, LinearProgram, solve
 from subquad.mbf import enumerate_mbfs, prune_mbf_set
 from subquad.pbf import format_rational
@@ -473,17 +474,18 @@ def box_programs(draw):
     return box, rows, [_fraction(draw, -3, 3) for _ in range(n)]
 
 
-def _box_lp(box, rows, objective):
+def _box_lp(box, rows, objective, form=lambda c: c):
+    """The box program, every number passed through ``form`` on its way in."""
     lp = LinearProgram()
     names = [f"x{i}" for i in range(len(box))]
     for name, (lo, hi, free) in zip(names, box):
-        lp.add_variable(name, lower=None if free else lo)
+        lp.add_variable(name, lower=None if free else form(lo))
         if free:
-            lp.add_constraint({name: 1}, GREATER, lo)
-        lp.add_constraint({name: 1}, LESS, hi)
+            lp.add_constraint({name: 1}, GREATER, form(lo))
+        lp.add_constraint({name: 1}, LESS, form(hi))
     for coeffs, rel, rhs in rows:
-        lp.add_constraint({names[i]: c for i, c in coeffs.items()}, rel, rhs)
-    lp.set_objective({name: c for name, c in zip(names, objective)})
+        lp.add_constraint({names[i]: form(c) for i, c in coeffs.items()}, rel, form(rhs))
+    lp.set_objective({name: form(c) for name, c in zip(names, objective)})
     return lp
 
 
@@ -538,3 +540,74 @@ class TestBruteForceVertices:
             assert sol.status == INFEASIBLE
         else:
             assert sol.status == OPTIMAL and sol.objective_value == best
+
+
+class TestInputForms:
+    # The same numbers given as ints (where integral), Fractions or strings.
+    FORMS = {
+        "int": lambda c: c.numerator if c.denominator == 1 else c,
+        "fraction": lambda c: c,
+        "str": str,
+    }
+
+    @settings(max_examples=200)
+    @given(box_programs())
+    def test_int_fraction_and_str_coefficients_agree(self, program):
+        sols = [solve(_box_lp(*program, form=form)) for form in self.FORMS.values()]
+        assert sols[0] == sols[1] == sols[2]
+        for sol in sols:
+            assert all(type(v) is Fraction for v in sol.values.values())
+            assert sol.objective_value is None or type(sol.objective_value) is Fraction
+
+    def test_integral_coefficients_are_kept_as_ints(self):
+        lp = lp_of(["x", "y"], [({"x": 2, "y": "3/2"}, LESS, 4)], {"x": -1})
+        (con,) = lp.constraints
+        assert con.coeffs == {"x": 2, "y": Fraction(3, 2)}
+        assert type(con.coeffs["x"]) is int and type(con.coeffs["y"]) is Fraction
+        assert type(lp.objective["x"]) is int
+
+
+def _snapshot(lp):
+    return [(dict(con.coeffs), con.rel, con.rhs) for con in lp.constraints], dict(lp.objective)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: golden_lp(12), lambda: golden_lp(58), lambda: _cubic_program(3)]
+    + [lambda index=index: _quartic_program(index) for index in range(3)],
+)
+def test_solving_twice_changes_nothing(build):
+    lp = build()
+    before = _snapshot(lp)
+    first = solve(lp)
+    assert solve(lp) == first
+    assert _snapshot(lp) == before
+
+
+def _skewed_pivot(monkeypatch, delta):
+    """Make every pivot move its row's basic value by delta, as a tableau
+    bug would; the exact re-validation must catch the point."""
+    real = lpsolver._pivot
+
+    def pivot(rows, pr, pc):
+        real(rows, pr, pc)
+        rows[pr][lpsolver._RHS] = rows[pr].get(lpsolver._RHS, 0) + delta * rows[pr][pc]
+
+    monkeypatch.setattr(lpsolver, "_pivot", pivot)
+
+
+@pytest.mark.parametrize(
+    "constraints, objective, lowers, delta, message",
+    [
+        ([({"x": 1}, LESS, 3)], {"x": -1}, {}, 1, r"violates \{'x': 1\} <= 3"),
+        ([({"x": 2}, GREATER, 3)], {"x": 1}, {}, -1, r"violates \{'x': 2\} >= 3"),
+        ([({"x": 1, "y": "1/2"}, EQUAL, 2)], {"x": 1}, {}, 1, r"violates .* == 2"),
+        ([({"x": 1}, LESS, 1)], {"x": -1}, {"x": 1}, -1, r"violates bound on x"),
+    ],
+)
+def test_revalidation_catches_a_wrong_point(monkeypatch, constraints, objective, lowers, delta, message):
+    lp = lp_of(["x", "y"], constraints, objective, lowers)
+    assert solve(lp).status == OPTIMAL
+    _skewed_pivot(monkeypatch, delta)
+    with pytest.raises(lpsolver.LpInternalError, match=message):
+        solve(lp)

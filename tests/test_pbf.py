@@ -446,6 +446,10 @@ class TestTextFormat:
         f = parse_polynomial("1 : 1 2\n1/3 : 2 1\n")
         assert f.terms[mask_of((1, 2))] == Fraction(4, 3)
 
+    def test_duplicates_summing_to_zero_drop_out(self):
+        f = parse_polynomial("1 : 1\n-1 : 1\n")
+        assert f == MultilinearPoly.zero(1) and f.terms == {}
+
     def test_zero_poly(self):
         assert parse_polynomial(format_polynomial(MultilinearPoly.zero(3)), 3) == MultilinearPoly.zero(3)
 

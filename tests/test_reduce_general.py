@@ -223,6 +223,12 @@ class TestProgressiveSubsets:
             fit(problem)
         assert programs == []
 
+    def test_anchor_is_checked_before_the_size(self):
+        # an oversized problem with an out-of-range anchor reports the anchor
+        problem = ReductionProblem(MultilinearPoly.zero(5), tuple(enumerate_mbfs(5)[100:141]))
+        with pytest.raises(ValueError, match=r"^anchor labeling outside the target's variable range$"):
+            overestimate(problem, 1 << 5)
+
     def test_quadratic_target_tries_the_empty_subset_first(self, monkeypatch):
         target = random_submodular_quadratic(random.Random(3), 3).poly
         assert target.terms.get(0b111, 0) == 0

@@ -392,6 +392,41 @@ class TestSearchPrograms:
         got = {name: program_digest(build(f) for f in cliques) for name, build in builders.items()}
         assert got == self.GOLDEN
 
+    # Digests of every states program the search can build for two fixed
+    # cliques: all 114 second on-sets under the three flag combinations,
+    # recorded when each program was still built row by row.  The rows now
+    # come from a shared per-(on2, flags) cache with only the right-hand
+    # sides read off f, and must reproduce the same rows, order, relations
+    # and right-hand sides.
+    ONSET_GOLDEN = {
+        (900, True, False): "dd521435f02a2b2bc4db3abc03bc73bbba1c2b78f5c4c2f9588db46116da40d4",
+        (900, False, True): "2ee9e9f94ae0ec3cca7acc7097a540cbb30628c993911ca2ce489c307713eac2",
+        (900, True, True): "4a3c9d8b50c64760e71da735e41fe079686f544aa2699f1dcc83010cdd796713",
+        (901, True, False): "60f185555eac972c3605450858bd99ab436e486388b5f7fb3a8a3ecf740d9d85",
+        (901, False, True): "5addc49dc74dad1493aba802033aae0219577732d3fed80ba671eba5b673a28b",
+        (901, True, True): "7422b701b87b2c9f1b36b06a4bb8788936be4da8fbdbf235adde2e359ce2da25",
+    }
+
+    @pytest.mark.parametrize("seed, sign_rows, dominance", sorted(ONSET_GOLDEN))
+    def test_every_onset_program_is_pinned(self, seed, sign_rows, dominance):
+        f = random_generator_combination(random.Random(seed))
+        got = program_digest(_states_lp(f, on2, sign_rows, dominance) for on2 in _second_onsets())
+        assert got == self.ONSET_GOLDEN[seed, sign_rows, dominance]
+
+    def test_programs_share_rows_but_not_right_hand_sides(self):
+        rng = random.Random(902)
+        f, g = random_generator_combination(rng), random_generator_combination(rng)
+        on2 = _second_onsets()[7]
+        shared = rq._states_rows(on2, True, True)
+        before = [(dict(con.coeffs), con.rel, con.rhs) for con in shared]
+        first = _states_lp(f, on2, True, True)
+        dump = first.dump()
+        solutions = [lpsolver.solve(first), lpsolver.solve(_states_lp(g, on2, True, True)), lpsolver.solve(first)]
+        assert solutions[0] == solutions[2]
+        assert first.dump() == dump
+        assert [(dict(con.coeffs), con.rel, con.rhs) for con in shared] == before
+        assert all(con.rhs == 0 for con in shared)
+
     def test_first_presolve_decides_like_the_exact_program(self):
         # Criterion 03 and the G10 tests solve reduce_quartic's first
         # presolve; the exact program in the full joint coefficients must
