@@ -11,7 +11,6 @@ import argparse
 import sys
 
 
-from . import lpsolver
 from .maxflow import minimize_quadratic
 from .mbf import MBF_ENUMERATION_CAP, MbfTable, enumerate_mbfs, prune_mbf_set
 from .oracle import format_report, verify_reduction
@@ -289,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, NotRepresentable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
-    except (lpsolver.LpInternalError, InvariantError) as exc:
+    except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

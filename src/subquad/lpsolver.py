@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .pbf import format_rational, rat
+from .pbf import InvariantError, format_rational, rat
 
 LESS, GREATER, EQUAL = "<=", ">=", "=="
 
@@ -67,8 +67,9 @@ _FLIPPED = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 _RHS = -1  # key of the right-hand side in every tableau row
 
 
-class LpInternalError(RuntimeError):
-    """A solved point failed exact re-validation; indicates a solver bug."""
+class LpInternalError(InvariantError):
+    """A solved point failed exact re-validation, or a program's answer is
+    not what its rows promise; indicates a solver or builder bug."""
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,9 @@ class NotSubmodularQuadratic(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal invariant failed (the replacement algebra's minimum
-    checks, the max-flow certificate); indicates a bug.  Raised explicitly,
-    so the checks also run under ``python -O``."""
+    checks, the max-flow certificate, and as ``lpsolver.LpInternalError``
+    the exact LP's re-validation); indicates a bug.  Raised explicitly, so
+    the checks also run under ``python -O``."""
 
 
 def _require(ok: bool, what: str) -> None:

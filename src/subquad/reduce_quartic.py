@@ -16,6 +16,14 @@ submodular functions"); the tenth catalog group lies outside the class.
 A quartic with no non-negative generator decomposition is reported
 NotRepresentable, decided exactly, never by numeric tolerance.
 
+The programs' unknowns are the coefficients of one form, h = x_part(x) +
+kappa1(x) z1 + kappa2(x) z2 - j12 z1 z2, listed once in ``_COLUMNS``.  That
+table declares the variables, writes the nearest program's value rows, and
+reads every answer back through ``_answer``, which raises LpInternalError
+unless ``pbf.is_submodular`` accepts the quadratic.  A states-program
+answer's x-part is f minus W's Moebius coefficients (``_moebius``, the
+forms its rows are made of) at the solution.
+
 The module also carries the replacement algebra that justifies the
 two-variable count for auxiliary variables without interactions:
 
@@ -43,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import lcm
 
 from . import lpsolver
 from .mbf import AvParams, MbfTable, enumerate_mbfs, min_contribution, partition_coefficient
@@ -96,35 +105,19 @@ class QuarticFunction:
 
 @dataclass(frozen=True)
 class JointQuadratic:
-    """Quadratic over x1..x4 plus the two threshold auxiliaries.
+    """A reduction's answer: the submodular quadratic over x1..x4 and the
+    two auxiliaries z1, z2 (variables 5 and 6),
 
     h(x, z1, z2) = x_part(x) + (g1 - sum w1_i x_i) z1 + (g2 - sum w2_i x_i) z2
-                 - j12 z1 z2
+                 - j12 z1 z2,
 
-    with x_part a quadratic whose pair coefficients are non-positive and the
-    w's and j12 non-negative, which is exactly submodularity of the whole
-    form.
+    built and checked by ``_answer``.
     """
 
-    x_part: MultilinearPoly
-    av1: AvParams
-    av2: AvParams
-    j12: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "j12", rat(self.j12))
-        if self.j12 < 0 or any(c > 0 for m, c in self.x_part.terms.items() if m.bit_count() == 2):
-            raise ValueError("interaction and pair magnitudes must be non-negative")
+    quadratic: QuadraticPoly
 
     def to_quadratic(self) -> QuadraticPoly:
-        terms = dict(self.x_part.terms)
-        z1, z2 = 1 << 4, 1 << 5
-        for z_mask, av in ((z1, self.av1), (z2, self.av2)):
-            terms[z_mask] = av.g
-            for i in range(4):
-                terms[(1 << i) | z_mask] = -av.weights[i]
-        terms[z1 | z2] = -self.j12
-        return QuadraticPoly(MultilinearPoly(6, terms), 4, 2)
+        return self.quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +127,32 @@ class JointQuadratic:
 FORWARD_SET = MbfTable.threshold(4, 3)
 BACKWARD_SET = MbfTable.threshold(4, 2)
 
+# The program columns of h as (name, monomial over x1..x4 z1 z2, sign): h's
+# coefficient on the monomial is sign times the column.  First the x-part:
+# the free constant and linear coefficients, then the non-negative pair
+# magnitudes; then the auxiliaries' constants g, weights w (magnitudes of the
+# x-to-z coefficients) and interaction j12, in declaration order.
+_Z1, _Z2 = 1 << 4, 1 << 5
+_COLUMNS = (
+    (("b0", 0, 1),)
+    + tuple((f"b{i}", 1 << (i - 1), 1) for i in range(1, 5))
+    + tuple(("bp_%d%d" % indices_of(pm), pm, -1) for pm in PAIR_MASKS)
+    + (("g1", _Z1, 1), ("g2", _Z2, 1))
+    + tuple((f"w{tag}_{i}", 1 << (i - 1) | z, -1) for i in range(1, 5) for tag, z in (("1", _Z1), ("2", _Z2)))
+    + (("j12", _Z1 | _Z2, -1),)
+)
+_X_COLUMNS, _AV_COLUMNS = _COLUMNS[:11], _COLUMNS[11:]
+
 
 def _add_av_variables(lp: lpsolver.LinearProgram) -> None:
-    lp.add_variable("g1")
-    lp.add_variable("g2")
-    for i in range(1, 5):
-        lp.add_variable(f"w1_{i}")
-        lp.add_variable(f"w2_{i}")
-    lp.add_variable("j12")
+    for name, _, _ in _AV_COLUMNS:
+        lp.add_variable(name)
+
+
+def _h_form(joint: int, columns) -> dict[str, int]:
+    """h at a joint labeling (x1..x4 in bits 0-3, z1 and z2 in bits 4 and
+    5) as a linear form in the given columns."""
+    return {name: sign for name, mono, sign in columns if joint & mono == mono}
 
 
 def _kappa_form(tag: str, mask: int) -> dict[str, int]:
@@ -156,13 +167,7 @@ def _kappa_form(tag: str, mask: int) -> dict[str, int]:
 def _zpart_form(mask: int, z1: int, z2: int) -> dict[str, int]:
     """W(S) at the joint state (z1, z2) as a linear form in (g1, w1_i, g2,
     w2_i, j12)."""
-    row: dict[str, int] = {}
-    for z, tag in ((z1, "1"), (z2, "2")):
-        if z:
-            row.update(_kappa_form(tag, mask))
-    if z1 and z2:
-        row["j12"] = -1
-    return row
+    return _h_form(mask | z1 << 4 | z2 << 5, _AV_COLUMNS)
 
 
 def _add_sign_rows(lp: lpsolver.LinearProgram, on2: MbfTable) -> None:
@@ -179,28 +184,19 @@ def _states(mask: int, on2: MbfTable) -> tuple[int, int]:
     return FORWARD_SET.value(mask), on2.value(mask)
 
 
-def _moebius(top: int, on2: MbfTable) -> dict[str, int]:
-    """The coefficient of the monomial ``top`` in W at the prescribed
-    states, as a linear form: the alternating sum of W over the subsets of
-    top."""
-    row: dict[str, int] = {}
-    sub = top
-    while True:
-        sign = -1 if (top ^ sub).bit_count() & 1 else 1
-        for name, c in _zpart_form(sub, *_states(sub, on2)).items():
-            row[name] = row.get(name, 0) + sign * c
-        if sub == 0:
-            return row
-        sub = (sub - 1) & top
-
-
 @cache
-def _xpart_columns() -> tuple[tuple[str, int, int], ...]:
-    """The nearest program's x-part columns as (name, monomial, sign): the
-    free constant and linear coefficients, then the non-negative pair
-    magnitudes, which enter the x-part negated."""
-    linear = [("b0", 0, 1)] + [(f"b{i}", 1 << (i - 1), 1) for i in range(1, 5)]
-    return tuple(linear + [("bp_%d%d" % indices_of(pm), pm, -1) for pm in PAIR_MASKS])
+def _moebius(on2: MbfTable) -> tuple[dict[str, int], ...]:
+    """W's coefficient on each monomial over x1..x4 at the prescribed
+    states, as a linear form indexed by the monomial: W's values, Moebius
+    transformed as in ``MultilinearPoly.from_values``.  Shared, so never
+    mutated."""
+    forms = [_zpart_form(mask, *_states(mask, on2)) for mask in range(16)]
+    for bit in (1, 2, 4, 8):
+        for m in range(16):
+            if m & bit:
+                for name, c in forms[m ^ bit].items():
+                    forms[m][name] = forms[m].get(name, 0) - c
+    return tuple({name: c for name, c in form.items() if c} for form in forms)
 
 
 def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
@@ -209,14 +205,14 @@ def _nearest_lp(f: QuarticFunction) -> lpsolver.LinearProgram:
     minimized, the per-threshold sign pattern on every labeling, and
     non-negativity of all bilinear magnitudes."""
     lp = lpsolver.LinearProgram()
-    for name, _, sign in _xpart_columns():
+    for name, _, sign in _X_COLUMNS:
         lp.add_variable(name, lower=None if sign > 0 else 0)
     _add_av_variables(lp)
 
     objective: dict[str, Fraction] = {}
     for mask in range(16):
-        row = {name: sign for name, mono, sign in _xpart_columns() if mask & mono == mono}
-        row.update(_zpart_form(mask, *_states(mask, BACKWARD_SET)))
+        z1, z2 = _states(mask, BACKWARD_SET)
+        row = _h_form(mask | z1 << 4 | z2 << 5, _COLUMNS)
         target = f.poly.evaluate(mask)
         slack = f"d_{mask}"
         lp.add_variable(slack)
@@ -242,12 +238,13 @@ def _states_rows(on2: MbfTable, sign_rows: bool, dominance: bool) -> tuple[lpsol
     neither the tuple nor a row's dict is ever mutated."""
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
+    forms = _moebius(on2)
     for mono, sign in _VALUED_ROWS:
         # for the pairs: the pair coefficient of f - W must stay
         # non-positive; the Moebius sum over the pair includes singleton and
         # empty corrections so that on-sets reaching below size two are
         # still handled exactly
-        row = {name: sign * c for name, c in _moebius(mono, on2).items()}
+        row = {name: sign * c for name, c in forms[mono].items()}
         lp.add_constraint(row, "==" if sign > 0 else "<=", 0)
     if sign_rows:
         _add_sign_rows(lp, on2)
@@ -302,33 +299,35 @@ def _av(values: dict[str, Fraction], tag: str) -> AvParams:
     return AvParams(values[f"g{tag}"], tuple(values[f"w{tag}_{i}"] for i in range(1, 5)))
 
 
-def _av_params(values: dict[str, Fraction]) -> tuple[AvParams, AvParams, Fraction]:
-    """The two auxiliaries' parameters and their interaction, read off a
-    solution of any of the programs above."""
-    return _av(values, "1"), _av(values, "2"), values["j12"]
+def _answer(values: dict[str, Fraction], x_part: dict[int, Fraction]) -> JointQuadratic:
+    """The joint quadratic of a program point: the given x-part plus the
+    auxiliary columns read off ``values``.  A solver or builder bug shows
+    as an answer that is not a submodular quadratic, and raises."""
+    terms = x_part | {mono: sign * values[name] for name, mono, sign in _AV_COLUMNS}
+    # in ascending monomials: the capacity form and the max-flow graph
+    # follow the order of the terms
+    poly = MultilinearPoly(6, dict(sorted(terms.items())))
+    if poly.degree > 2:
+        raise lpsolver.LpInternalError("answer failed to come out quadratic")
+    if not is_submodular(poly):
+        raise lpsolver.LpInternalError("answer is not submodular")
+    return JointQuadratic(QuadraticPoly(poly, 4, 2))
 
 
 def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> JointQuadratic:
     """The joint quadratic of a states-program point: the x-part is f - W
-    at the prescribed states."""
-    av1, av2, j12 = _av_params(values)
-    xvals = []
-    for mask in range(16):
-        z1, z2 = _states(mask, on2)
-        w = Fraction(0)
-        if z1:
-            w += partition_coefficient(av1, mask)
-        if z2:
-            w += partition_coefficient(av2, mask)
-        if z1 and z2:
-            w -= j12
-        xvals.append(f.poly.evaluate(mask) - w)
-    x_part = MultilinearPoly.from_values(4, xvals)
-    if x_part.degree > 2:
-        raise lpsolver.LpInternalError("x-part failed to come out quadratic")
-    if any(x_part.terms.get(pm, 0) > 0 for pm in PAIR_MASKS):
-        raise lpsolver.LpInternalError("x-part has a positive pair coefficient")
-    return JointQuadratic(x_part, av1, av2, j12)
+    at the prescribed states, coefficient by coefficient.  W's coefficients
+    are summed in ints, at the auxiliary values times their common
+    denominator."""
+    den = lcm(*[values[name].denominator for name, _, _ in _AV_COLUMNS])
+    scaled = {name: values[name].numerator * (den // values[name].denominator) for name, _, _ in _AV_COLUMNS}
+    terms = f.poly.terms
+    x_part = {}
+    for mono, form in enumerate(_moebius(on2)):
+        w = sum(c * scaled[name] for name, c in form.items())
+        c = terms.get(mono, Fraction(0))
+        x_part[mono] = Fraction(c.numerator * den - w * c.denominator, c.denominator * den)
+    return _answer(values, x_part)
 
 
 @cache
@@ -458,8 +457,7 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
     sol = lpsolver.solve(_nearest_lp(f))
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
-    x_part = {mono: sign * sol.values[name] for name, mono, sign in _xpart_columns()}
-    joint = JointQuadratic(MultilinearPoly(4, x_part), *_av_params(sol.values))
+    joint = _answer(sol.values, {mono: sign * sol.values[name] for name, mono, sign in _X_COLUMNS})
     report = verify_reduction(f.poly, joint.to_quadratic())
     distance = sum((abs(g) for g in report.gaps.values()), Fraction(0))
     if distance == 0:

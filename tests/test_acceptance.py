@@ -8,7 +8,6 @@ isolation checks nothing.
 
 import random
 import time
-from fractions import Fraction
 
 from subquad import lpsolver
 from subquad.maxflow import minimize_quadratic
@@ -28,7 +27,6 @@ from subquad.reduce_quartic import (
     BACKWARD_SET,
     PAIR_MASKS,
     AvParams,
-    NotRepresentable,
     case_split,
     complement_form,
     generator_catalog,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from subquad import cli, maxflow
+from subquad import cli, lpsolver, maxflow
 from subquad.reduce_quartic import InvariantError
 
 G6_TEXT = "1 : 1 2 3\n-1 : 1 2\n-1 : 1 3\n-1 : 2 3\n"
@@ -105,6 +105,16 @@ def test_invariant_breach_exits_internal_error(files, capsys, monkeypatch):
     code = cli.main(["reduce4", files["g6"]])
     assert code == 3
     assert "internal error: pipeline broke the minimum" in capsys.readouterr().err
+
+
+def test_lp_breach_exits_internal_error(files, capsys, monkeypatch):
+    def broken(f):
+        raise lpsolver.LpInternalError("answer is not submodular")
+
+    monkeypatch.setattr(cli, "reduce_quartic", broken)
+    code = cli.main(["reduce4", files["g6"]])
+    assert code == 3
+    assert "internal error: answer is not submodular" in capsys.readouterr().err
 
 
 def test_flow_certificate_failure_exits_internal_error(files, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subquad import maxflow
-from subquad.maxflow import CutResult, FlowNetwork, build_network, max_flow, minimize_quadratic
+from subquad.maxflow import FlowNetwork, build_network, max_flow, minimize_quadratic
 from subquad.oracle import brute_min
 from subquad.pbf import (
     CapacityForm,

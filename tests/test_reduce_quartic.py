@@ -16,12 +16,10 @@ from subquad import lpsolver
 from subquad import reduce_quartic as rq
 from subquad.mbf import AvParams, enumerate_mbfs, induced_mbf, is_monotone, min_contribution, partition_coefficient
 from subquad.oracle import verify_reduction
-from subquad.pbf import MultilinearPoly, is_submodular
+from subquad.pbf import MultilinearPoly, format_polynomial, is_submodular
 from subquad.reduce_quartic import (
     BACKWARD_SET,
     PAIR_MASKS,
-    ForbiddenConfiguration,
-    JointQuadratic,
     NotRepresentable,
     QuarticFunction,
     case_split,
@@ -529,6 +527,21 @@ class TestSearchPrograms:
             statuses.append(alone)
         assert {lpsolver.OPTIMAL, lpsolver.INFEASIBLE} <= set(statuses)
 
+    def test_answer_reader_refuses_what_is_not_a_submodular_quadratic(self):
+        # Every answer goes through one reader; a point whose quadratic is
+        # not submodular (or not quadratic) means a solver or builder bug.
+        f, _ = generator_catalog(4, (1, 2, 3, 4))
+        values = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False)).values
+        assert rq._assemble(f, values).to_quadratic().is_submodular()
+        with pytest.raises(lpsolver.LpInternalError, match="quadratic"):
+            rq._answer(values, {0b0111: Fraction(-1)})
+        with pytest.raises(lpsolver.LpInternalError, match="submodular"):
+            rq._answer(values, {0b0011: Fraction(1)})
+        with pytest.raises(lpsolver.LpInternalError, match="submodular"):
+            rq._answer(values | {"j12": Fraction(-1)}, {})
+        with pytest.raises(lpsolver.LpInternalError, match="submodular"):
+            rq._answer(values | {"w2_3": Fraction(-1, 2)}, {})
+
     def test_failing_dominance_point_raises(self, monkeypatch):
         # A point that satisfies the dominance rows but fails the oracle
         # means a solver or builder bug: the second presolve raises at once
@@ -541,6 +554,38 @@ class TestSearchPrograms:
         with pytest.raises(lpsolver.LpInternalError):
             reduce_quartic(f)
         assert len(calls) == 2
+
+
+# Sums led by the two-sided interacting generator that miss both presolves
+# and are resolved by the sweep (5 to 22 LP solves each).
+SWEEP_SUMS = (
+    ((9, (2, 3, 1, 4), 1),),
+    ((9, (3, 4, 1, 2), 1), (2, (1, 2, 3, 4), 2)),
+    ((1, (1, 3, 2, 4), 1), (9, (2, 3, 1, 4), 1), (9, (2, 4, 1, 3), 2)),
+    ((9, (3, 4, 1, 2), 2), (5, (1, 2, 3, 4), 1), (9, (1, 4, 2, 3), 1)),
+    ((9, (3, 4, 1, 2), 2), (9, (2, 3, 1, 4), 2)),
+)
+
+
+def test_answers_are_pinned():
+    # The bench digests record only auxiliary counts and pass/fail; this
+    # one covers the exact quadratic of every answer: the first 200
+    # criterion-04 cliques, the sweep sums above, and the nearest quadratic
+    # and distance of every G10 pattern.
+    h = hashlib.sha256()
+    rng = random.Random(20260810)
+    cliques = [random_generator_combination(rng) for _ in range(200)]
+    for parts in SWEEP_SUMS:
+        f = QuarticFunction.from_terms([])
+        for group, pattern, weight in parts:
+            f = f + generator_catalog(group, pattern)[0].scaled(weight)
+        cliques.append(f)
+    for f in cliques:
+        h.update(format_polynomial(reduce_quartic(f).to_quadratic().poly).encode() + b"\n")
+    for pattern in generator_patterns(10):
+        joint, distance = nearest_quartic(generator_catalog(10, pattern)[0])
+        h.update(format_polynomial(joint.to_quadratic().poly).encode() + f"{distance}\n".encode())
+    assert h.hexdigest() == "8b0661755ca4ea9f8e8e080d5f6cf50320c1d763ed3f77986ee98c69bb732dfd"
 
 
 def test_invariant_check_survives_optimize_flag():
@@ -564,20 +609,23 @@ def test_invariant_check_survives_optimize_flag():
     assert proc.returncode == 0, proc.stderr
 
 
-def _package_modules():
-    """(file name, syntax tree) of every module of the package."""
-    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "subquad")
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                yield name, ast.parse(fh.read(), name)
+def _modules(*dirs):
+    """(path, syntax tree) of every module in the given directories of the
+    repository."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for d in dirs:
+        for name in sorted(os.listdir(os.path.join(root, d))):
+            if name.endswith(".py"):
+                path = os.path.join(d, name)
+                with open(os.path.join(root, path), encoding="utf-8") as fh:
+                    yield path, ast.parse(fh.read(), path)
 
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no invariant of the package
     # may rest on one: each check raises an exception of its own.
     found = []
-    for name, tree in _package_modules():
+    for name, tree in _modules(os.path.join("src", "subquad")):
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -585,8 +633,9 @@ def test_package_has_no_assert_statements():
 def test_package_has_no_unused_imports():
     # An import nothing reads is left over from a deletion.  A deliberate
     # re-export is spelled ``X as X`` or listed in the module's __all__.
+    # The test modules are held to the same rule.
     found = []
-    for name, tree in _package_modules():
+    for name, tree in _modules(os.path.join("src", "subquad"), "tests"):
         imported = {}
         used = set()
         for node in ast.walk(tree):
