@@ -12,7 +12,7 @@ import sys
 
 
 from .maxflow import minimize_quadratic
-from .mbf import MBF_ENUMERATION_CAP, MbfTable, enumerate_mbfs, prune_mbf_set
+from .mbf import MBF_ENUMERATION_CAP, MbfTable, enumerate_mbfs, parse_tables, prune_mbf_set
 from .oracle import format_report, verify_reduction
 from .pbf import (
     InvariantError,
@@ -56,19 +56,7 @@ def _mbf_choice(spec: str, k: int) -> tuple[MbfTable, ...]:
         rs = range(2, k) if k >= 3 else (2,)
         return tuple(MbfTable.threshold(k, r) for r in rs)
     with open(spec, "r", encoding="utf-8") as fh:
-        tables = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if len(line) != 1 << k or set(line) - {"0", "1"}:
-                raise ValueError(f"table line must be a {1 << k}-character bit-string")
-            bits = 0
-            for mask, ch in enumerate(line):
-                if ch == "1":
-                    bits |= 1 << mask
-            tables.append(MbfTable(k, bits))
-    return tuple(tables)
+        return tuple(parse_tables(fh.read(), k))
 
 
 def _default_mbfs(k: int) -> str:

@@ -8,6 +8,8 @@ which the variable switches on.  Monotone Boolean functions are the same
 objects seen as truth tables (``MbfTable``); their count per arity is the
 Dedekind number.  ``induced_mbf`` is the package's one derivation of an
 auxiliary's optimal states from a quadratic, and ``is_monotone`` audits it.
+Tables are written as text by ``MbfTable.as_bitstring`` and read back by
+``parse_tables``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pbf import QuadraticPoly, rat
+from .pbf import PolyParseError, QuadraticPoly, rat
 
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
@@ -41,7 +43,7 @@ class MbfTable:
         return self.bits >> mask & 1
 
     def as_bitstring(self) -> str:
-        return "".join(str(self.value(m)) for m in range(1 << self.k))
+        return format(self.bits, f"0{1 << self.k}b")[::-1]
 
     @classmethod
     def from_function(cls, k: int, fn) -> "MbfTable":
@@ -70,27 +72,41 @@ def is_monotone(t: MbfTable) -> bool:
 def enumerate_mbfs(k: int) -> list[MbfTable]:
     """All monotone tables on k variables, in ascending bits order.
 
-    Depth-first assignment in popcount order: the value on a labeling is
-    forced to 1 as soon as any immediate predecessor carries 1, so the
-    search tree has no dead branches and runs in output-linear time.
+    Dedekind's recurrence: a table on j + 1 variables is monotone exactly
+    when its halves with x_{j+1} = 0 and x_{j+1} = 1 are monotone tables on
+    j variables and the first implies the second.  Taking the upper half
+    in the outer loop keeps every level in ascending bits order.
     """
     if k > MBF_ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at k <= {MBF_ENUMERATION_CAP}")
-    order = sorted(range(1 << k), key=lambda m: (m.bit_count(), m))
-    results: list[int] = []
+    level = [0, 1]
+    for j in range(k):
+        level = [a | b << (1 << j) for b in level for a in level if not a & ~b]
+    return [MbfTable(k, b) for b in level]
 
-    def extend(pos: int, bits: int):
-        if pos == len(order):
-            results.append(bits)
-            return
-        mask = order[pos]
-        forced = any(bits >> (mask ^ (1 << i)) & 1 for i in range(k) if mask >> i & 1)
-        if not forced:
-            extend(pos + 1, bits)
-        extend(pos + 1, bits | (1 << mask))
 
-    extend(0, 0)
-    return [MbfTable(k, b) for b in sorted(results)]
+def parse_tables(text: str, k: int) -> list[MbfTable]:
+    """Tables on k variables from text, one ``as_bitstring`` per line.
+
+    ``#`` starts a comment; blank lines are skipped.  A line of the wrong
+    width or with a character other than 0 and 1 raises ``PolyParseError``
+    at its line and column.  Monotonicity is left to the caller.
+    """
+    width = 1 << k
+    tables = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        start = raw.index(line)
+        bad = next((i for i, ch in enumerate(line) if ch not in "01"), None)
+        if bad is not None:
+            raise PolyParseError(f"bad table character {line[bad]!r}", lineno, start + bad + 1)
+        if len(line) != width:
+            column = start + min(len(line), width) + 1
+            raise PolyParseError(f"table line has {len(line)} bits, expected {width}", lineno, column)
+        tables.append(MbfTable(k, int(line[::-1], 2)))
+    return tables
 
 
 def prune_mbf_set(tables: list[MbfTable]) -> list[MbfTable]:

@@ -49,7 +49,8 @@ def _require(ok: bool, what: str) -> None:
 
 
 class PolyParseError(ValueError):
-    """Polynomial text that does not follow the term-per-line format."""
+    """Input text that does not follow its line format: a polynomial's
+    term-per-line format or a table file's bit-string-per-line format."""
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")

@@ -77,11 +77,6 @@ class NotRepresentable(Exception):
     outside the reducible subclass."""
 
 
-class ForbiddenConfiguration(RuntimeError):
-    """An auxiliary-variable state pattern that valid parameters cannot
-    produce reached the replacement algebra; indicates a caller bug."""
-
-
 @dataclass(frozen=True)
 class QuarticFunction:
     """Multilinear polynomial on exactly four variables."""
@@ -372,8 +367,8 @@ def decompose_over_generators(f: QuarticFunction) -> list[tuple[int, tuple, Frac
 @cache
 def _second_onsets() -> list[MbfTable]:
     """The second auxiliary's 114 singleton-free monotone tables, larger
-    on-sets first, then by their sorted on-labelings, so the backward
-    threshold |S| >= 2 leads; ``reduce_quartic`` decides that one in its
+    on-sets first, then by their sorted on-labelings, so the threshold
+    |S| >= 2 leads; ``reduce_quartic`` decides that one in its
     presolves and sweeps the rest."""
     return sorted(
         (t for t in enumerate_mbfs(4) if all(m.bit_count() >= 2 for m in range(16) if t.value(m))),
@@ -657,38 +652,28 @@ def _solve_reference_system(targets: dict[int, Fraction]) -> AvParams:
     return out
 
 
-def normalize_to_reference(p: AvParams, direction: str) -> AvParams:
+def normalize_to_reference(p: AvParams) -> AvParams:
     """Replace a variable by one sitting exactly on a threshold pattern.
 
-    forward: requires no on-states below size 3; the output coefficient is
-    min(0, old coefficient) on every labeling of size >= 3 and provably
-    non-negative below, so the variable realizes the |S| >= 3 pattern.
-
-    backward: same construction aimed at |S| >= 2; the pair labelings are
-    overdetermined, so the solved parameters are checked against them and
-    rejected when the input cannot sit on that pattern.
+    With no on-state at a pair labeling the target is |S| >= 3: the output
+    coefficient is min(0, old coefficient) on every labeling of size >= 3
+    and provably non-negative below.  Otherwise the same construction aims
+    at |S| >= 2; the pair labelings are overdetermined, so the solved
+    parameters are checked against them and rejected when the input
+    cannot sit on that pattern.
     """
     if p.k != 4:
         raise ValueError("reference normalization is specific to 4 variables")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
     if p.g < 0 or any(partition_coefficient(p, 1 << e) < 0 for e in range(4)):
         raise ValueError("remove singletons before normalizing")
-    targets = {t: min_contribution(p, t) for t in TRIPLES + (FULL4,)}
-    if direction == "forward":
-        for pm in PAIR_MASKS:
-            if partition_coefficient(p, pm) < 0:
-                raise ValueError("an on pair labeling cannot move to the size-3 pattern")
-        out = _solve_reference_system(targets)
+    out = _solve_reference_system({t: min_contribution(p, t) for t in TRIPLES + (FULL4,)})
+    if all(partition_coefficient(p, pm) >= 0 for pm in PAIR_MASKS):
         _require(
             all(partition_coefficient(out, pm) >= 0 for pm in PAIR_MASKS),
-            "forward normalization left an on pair labeling",
+            "normalization to the size-3 pattern left an on pair labeling",
         )
-    else:
-        out = _solve_reference_system(targets)
-        for pm in PAIR_MASKS:
-            if partition_coefficient(out, pm) != min_contribution(p, pm):
-                raise ValueError("input does not sit consistently on the size-2 pattern")
+    elif any(partition_coefficient(out, pm) != min_contribution(p, pm) for pm in PAIR_MASKS):
+        raise ValueError("input does not sit consistently on the size-2 pattern")
     _require(_preserves_min(p, MultilinearPoly.zero(4), [out]), "normalization broke the minimum")
     return out
 
@@ -823,8 +808,8 @@ def _apply_shape(p: AvParams, shape: tuple[int, ...]):
 
 def _split_lp(p: AvParams):
     """Exact search for residual-pair magnitudes plus one variable bound to
-    each threshold: the forward one may act on every size >= 3 labeling,
-    the backward one on every pair labeling and above."""
+    each threshold: the |S| >= 3 one may act on every size >= 3 labeling,
+    the |S| >= 2 one on every pair labeling and above."""
     lp = lpsolver.LinearProgram()
     for pm in PAIR_MASKS:
         lp.add_variable(f"rho_{pm}")
@@ -864,13 +849,14 @@ def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
     """Trade on-states at pair labelings for bilinear residual terms.
 
     Output variables are each bound to one threshold: every pair labeling
-    coefficient is non-negative (feeds the forward normalization) or every
+    coefficient is non-negative (normalized onto |S| >= 3) or every
     one is non-positive (already on the size-2 sign pattern).  Dispatch
     tries the printed single-pair / adjacent / star / triangle
     transformations first, widening the on-pair set across ties.  Those
     tables do not cover every valid input (no table shape holds a
     complementary pair of on-pairs, for one), so a miss falls through to
-    one exact feasibility program with a forward and a backward variable.
+    one exact feasibility program with one variable per threshold.  Input
+    that program cannot decompose either is an InvariantError.
     """
     if p.k != 4:
         raise ValueError("the replacement algebra is specific to 4 variables")
@@ -888,9 +874,8 @@ def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
             return out[0], _drop_trivial(out[1])
 
     out = _split_lp(p)
-    if out is not None and _preserves_min(p, *out):
-        return out[0], _drop_trivial(out[1])
-    raise ForbiddenConfiguration(f"no decomposition found for {p}")
+    _require(out is not None and _preserves_min(p, *out), f"no decomposition found for {p}")
+    return out[0], _drop_trivial(out[1])
 
 
 def _drop_trivial(avs: list[AvParams]) -> list[AvParams]:

@@ -173,13 +173,7 @@ def test_criterion_07_pipeline_preservation():
         res2 = MultilinearPoly.zero(4)
         if p1 is not None:
             res2, parts = case_split(p1)
-            for a in parts:
-                direction = (
-                    "forward"
-                    if all(partition_coefficient(a, pm) >= 0 for pm in PAIR_MASKS)
-                    else "backward"
-                )
-                avs.append(normalize_to_reference(a, direction))
+            avs += [normalize_to_reference(a) for a in parts]
         for mask in range(16):
             total = res1.evaluate(mask) + res2.evaluate(mask)
             total += sum(min_contribution(a, mask) for a in avs)
@@ -199,7 +193,7 @@ def test_criterion_08_reference_system():
             continue
         if any(partition_coefficient(p, pm) < 0 for pm in PAIR_MASKS):
             continue
-        out = normalize_to_reference(p, "forward")
+        out = normalize_to_reference(p)
         for mask in range(16):
             value = partition_coefficient(out, mask)
             if mask.bit_count() >= 3:

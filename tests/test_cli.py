@@ -247,6 +247,40 @@ def test_reduce_with_table_file(files, tmp_path, capsys):
     code, out = run(capsys, ["reduce", files["cube"], "--k", "3", "--mbfs", str(tables)])
     assert code == 0
     assert "RESULT distance=0" in out
+    assert run(capsys, ["reduce", files["cube"], "--k", "3", "--mbfs", "all"]) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "line,where",
+    [
+        ("0001011", "line 3, column 8"),
+        ("000101111", "line 3, column 9"),
+        ("0001x111", "line 3, column 5"),
+        ("  00010111 1", "line 3, column 11"),
+    ],
+)
+def test_malformed_table_file_is_a_usage_error(files, tmp_path, capsys, line, where):
+    tables = tmp_path / "bad.mbf"
+    tables.write_text(f"00000001\n00010111\n{line}\n")
+    code = cli.main(["reduce", files["cube"], "--k", "3", "--mbfs", str(tables)])
+    assert code == 1
+    assert where in capsys.readouterr().err
+
+
+def test_table_file_skips_comments_and_blank_lines(files, tmp_path, capsys):
+    tables = tmp_path / "tables.mbf"
+    tables.write_text("# the |S| >= 3 threshold\n\n  00000001  # x1 x2 x3\n\n")
+    code, out = run(capsys, ["reduce", files["cube"], "--k", "3", "--mbfs", str(tables)])
+    assert code == 0
+    assert "RESULT distance=0" in out
+
+
+def test_non_monotone_table_file_fails(files, tmp_path, capsys):
+    tables = tmp_path / "parity.mbf"
+    tables.write_text("01101001\n")
+    code = cli.main(["reduce", files["cube"], "--k", "3", "--mbfs", str(tables)])
+    assert code == 2
+    assert "monotone" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import pytest
 
 from subquad.mbf import (
     DEDEKIND,
+    MBF_ENUMERATION_CAP,
     MbfTable,
     enumerate_mbfs,
     induced_mbf,
     is_monotone,
     min_contribution,
+    parse_tables,
     partition_coefficient,
     prune_mbf_set,
 )
@@ -49,6 +52,19 @@ class TestEnumeration:
         bits = {t.bits for t in enumerate_mbfs(2)}
         assert MbfTable.from_function(2, lambda m: m == 0b11).bits in bits
         assert MbfTable.from_function(2, lambda m: m != 0).bits in bits
+
+    def test_tables_and_order_are_pinned(self):
+        # SHA-256 of every table for k = 0..5 in enumeration order
+        digest = hashlib.sha256()
+        for k in range(MBF_ENUMERATION_CAP + 1):
+            for t in enumerate_mbfs(k):
+                digest.update(f"{k}:{t.bits:x}\n".encode())
+        assert digest.hexdigest() == "5fffafb73947ea65ca78aee56e9ae303956c89a9da4b1a026f4369e900a321a3"
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_text_round_trip(self, k):
+        tables = enumerate_mbfs(k)
+        assert parse_tables("".join(t.as_bitstring() + "\n" for t in tables), k) == tables
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -238,6 +238,17 @@ class TestProgressiveSubsets:
         assert not any(v.startswith("src_z") for v in programs[0].variables)
         assert result.l1_distance == 0 and result.quadratic.n_z == 0
 
+    @pytest.mark.parametrize("top,hinted", [(-1, (AND3, MAJ3)), (1, (MAJ3, AND3))])
+    def test_candidate_order_is_pinned(self, top, hinted):
+        # the threshold the top coefficient hints at leads, the other
+        # singletons follow in table order, and the hinted pair comes last
+        tables = pruned3()
+        target = MultilinearPoly.from_terms(3, [((1, 2, 3), top)] + [((i, j), -2) for i, j in ((1, 2), (1, 3), (2, 3))])
+        rest = [t.bits for t in tables if t not in hinted]
+        assert rest == [136, 160, 168, 192, 200, 224, 234, 236, 238, 248, 250, 252, 254]
+        got = [tuple(t.bits for t in subset) for subset in _candidate_subsets(ReductionProblem(target, tables))]
+        assert got == [(hinted[0].bits,), (hinted[1].bits,)] + [(b,) for b in rest] + [(hinted[0].bits, hinted[1].bits)]
+
 
 class TestOverestimate:
     def test_exact_target_is_fixed_point(self):

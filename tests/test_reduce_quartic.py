@@ -167,6 +167,15 @@ class TestCaseSplit:
         with pytest.raises(ValueError):
             case_split(P(3, (4, 1, 1, 1)))
 
+    def test_undecomposed_input_is_an_invariant_breach(self, monkeypatch):
+        # the printed tables miss this input; with the exact program failing
+        # too, nothing decomposes it
+        calls = []
+        monkeypatch.setattr(rq, "_split_lp", lambda p: calls.append(p))
+        with pytest.raises(rq.InvariantError, match="no decomposition found"):
+            case_split(P(10, (2, 3, 6, 5)))
+        assert calls == [P(10, (2, 3, 6, 5))]
+
     def test_randomized_min_preservation(self):
         rng = random.Random(6)
         for _ in range(250):
@@ -180,18 +189,18 @@ class TestCaseSplit:
 class TestNormalize:
     def test_fixed_point_forward(self):
         p = P(5, (1, 2, 2, 3))
-        assert normalize_to_reference(p, "forward") == p
+        assert normalize_to_reference(p) == p
 
     def test_all_off_goes_to_zero(self):
-        assert normalize_to_reference(P(6, (1, 1, 1, 1)), "forward") == P(0, (0, 0, 0, 0))
+        assert normalize_to_reference(P(6, (1, 1, 1, 1))) == P(0, (0, 0, 0, 0))
 
     def test_fixed_point_backward(self):
         p = P(2, (1, 1, 1, 1))
-        assert normalize_to_reference(p, "backward") == p
+        assert normalize_to_reference(p) == p
 
     def test_forward_rejects_on_pairs(self):
-        with pytest.raises(ValueError):
-            normalize_to_reference(P(5, (4, 2, 2, 2)), "forward")
+        with pytest.raises(ValueError, match="size-2 pattern"):
+            normalize_to_reference(P(5, (4, 2, 2, 2)))
 
     def test_system_matrix_nonsingular(self):
         assert matrix_determinant(reference_system_matrix()) != 0
@@ -205,7 +214,7 @@ class TestNormalize:
                 continue
             if any(partition_coefficient(p, pm) < 0 for pm in PAIR_MASKS):
                 continue
-            out = normalize_to_reference(p, "forward")
+            out = normalize_to_reference(p)
             for m in range(16):
                 k = partition_coefficient(out, m)
                 assert k <= 0 if m.bit_count() >= 3 else k >= 0
