@@ -1,8 +1,9 @@
 """Command-line surface: stable text output for scripting and goldens.
 
 Machine-readable lines are prefixed RESULT.  Exit codes: 0 success or
-representable, 1 usage or parse error, 2 not representable / not
-submodular / verification failed, 3 internal invariant breach.
+representable, 1 usage, parse or unreadable-input error, 2 not
+representable / not submodular / verification failed, 3 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .pbf import (
     mask_of,
     parse_polynomial,
 )
-from .reduce_general import ReductionProblem, nearest_quadratic, overestimate
+from .reduce_general import MAX_COLUMNS, ReductionProblem, _column_count, nearest_quadratic, overestimate
 from .reduce_quartic import (
     NotRepresentable,
     QuarticFunction,
@@ -91,6 +92,11 @@ def _cmd_minimize(args) -> int:
 
 def _problem_from_args(args) -> ReductionProblem:
     target = _read_poly(args.file, args.k)
+    columns = _column_count(args.k, 0)
+    if columns > MAX_COLUMNS:
+        raise ValueError(
+            f"refusing --k {args.k}: even the program with no tables has {columns} columns (limit {MAX_COLUMNS})"
+        )
     spec = args.mbfs or _default_mbfs(args.k)
     return ReductionProblem(target, _mbf_choice(spec, args.k))
 
@@ -267,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.fn(args)
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (PolyParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, NotRepresentable) as exc:

@@ -39,10 +39,11 @@ two-variable count for auxiliary variables without interactions:
 Applied to every auxiliary of an interaction-free quadratic they leave
 variables on the two threshold patterns only, and variables on the same
 pattern add up, so two remain.  Every step re-checks min preservation on
-all 16 labelings.  The printed transformation tables this algebra descends
-from are incomplete for some inputs (every input whose on-pairs hold a
-complementary pair, among others), so one small exact feasibility program
-serves as the fallback.
+all 16 labelings.  The pair split is one small exact program, not the
+printed transformation tables this algebra descends from: its optimum is
+the printed split on the figures' single-pair, adjacent, star and triangle
+inputs, and it also splits the inputs those tables miss (every input whose
+on-pairs hold a complementary pair, among others).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .pbf import (
     _require,
     indices_of,
     is_submodular,
-    mask_of,
     rat,
 )
 
@@ -678,97 +678,6 @@ def normalize_to_reference(p: AvParams) -> AvParams:
     return out
 
 
-def _pair_kappas(p: AvParams) -> dict[int, Fraction]:
-    return {pm: partition_coefficient(p, pm) for pm in PAIR_MASKS}
-
-
-def _case_one(p: AvParams, pm: int):
-    i, j = indices_of(pm)
-    kij = partition_coefficient(p, pm)
-    residual = MultilinearPoly(4, {pm: kij})
-    w = list(p.weights)
-    wt = list(w)
-    wt[i - 1] = p.g - w[i - 1]
-    wt[j - 1] = p.g - w[j - 1]
-    gt = 2 * p.g - w[i - 1] - w[j - 1]
-    return residual, [AvParams(gt, tuple(wt))]
-
-
-def _case_adjacent(p: AvParams, pm_a: int, pm_b: int):
-    shared = pm_a & pm_b
-    if shared.bit_count() != 1:
-        return None
-    j = indices_of(shared)[0]
-    i = indices_of(pm_a ^ shared)[0]
-    k = indices_of(pm_b ^ shared)[0]
-    (l,) = indices_of(FULL4 ^ pm_a ^ pm_b ^ shared)
-    w = list(p.weights)
-    residual = MultilinearPoly(
-        4,
-        {
-            pm_a: partition_coefficient(p, pm_a),
-            pm_b: partition_coefficient(p, pm_b),
-        },
-    )
-    wt = [Fraction(0)] * 4
-    wt[i - 1] = p.g - w[j - 1]
-    wt[k - 1] = p.g - w[j - 1]
-    wt[j - 1] = 2 * p.g - w[i - 1] - w[j - 1] - w[k - 1]
-    wt[l - 1] = w[l - 1]
-    gt = 3 * p.g - 2 * w[j - 1] - w[i - 1] - w[k - 1]
-    return residual, [AvParams(gt, tuple(wt))]
-
-
-def _case_star(p: AvParams, pms):
-    hub_mask = pms[0] & pms[1] & pms[2]
-    if hub_mask.bit_count() != 1:
-        return None
-    i = indices_of(hub_mask)[0]
-    others = indices_of(FULL4 ^ hub_mask)
-    w = list(p.weights)
-    residual = {pm: partition_coefficient(p, pm) for pm in pms}
-    beta = min_contribution(p, FULL4 ^ hub_mask)
-    slope = p.g - w[i - 1]
-    wt = [Fraction(0)] * 4
-    for o in others:
-        wt[o - 1] = slope
-    wt[i - 1] = beta + 2 * slope
-    gt = beta + 3 * slope
-    if wt[i - 1] < 0:
-        return None
-    return MultilinearPoly(4, residual), [AvParams(gt, tuple(wt))]
-
-
-def _case_triangle(p: AvParams, pms):
-    union = pms[0] | pms[1] | pms[2]
-    if union.bit_count() != 3:
-        return None
-    (l,) = indices_of(FULL4 ^ union)
-    best = max(pms, key=lambda pm: (partition_coefficient(p, pm), -pm))
-    i, j = indices_of(best)
-    (k,) = indices_of(union ^ best)
-    w = list(p.weights)
-    kij = partition_coefficient(p, best)
-    residual = MultilinearPoly(
-        4,
-        {
-            mask_of((i, k)): -(w[k - 1] - w[j - 1]),
-            mask_of((j, k)): -(w[k - 1] - w[i - 1]),
-        },
-    )
-    slope = p.g - w[k - 1]
-    wt = [Fraction(0)] * 4
-    wt[i - 1] = wt[j - 1] = wt[k - 1] = slope
-    wt[l - 1] = w[l - 1]
-    if slope < 0:
-        return None
-    z_t = AvParams(2 * slope, tuple(wt))
-    wr = [Fraction(0)] * 4
-    wr[i - 1] = wr[j - 1] = wr[k - 1] = -kij
-    z_r = AvParams(-kij, tuple(wr))
-    return residual, [z_t, z_r]
-
-
 def complement_form(p: AvParams) -> tuple[MultilinearPoly, AvParams]:
     """Equivalent rendering of one variable's contribution with the
     complemented activation convention:
@@ -782,34 +691,17 @@ def complement_form(p: AvParams) -> tuple[MultilinearPoly, AvParams]:
     return _kappa_poly(p), comp
 
 
-def _shape_candidates(neg: list[int], zero: list[int]):
-    seen = set()
-    for extra in range(len(zero) + 1):
-        for add in combinations(zero, extra):
-            shape = tuple(sorted(neg + list(add)))
-            if len(shape) > 3 or shape in seen:
-                continue
-            seen.add(shape)
-            yield shape
-
-
-def _apply_shape(p: AvParams, shape: tuple[int, ...]):
-    if len(shape) == 1:
-        return _case_one(p, shape[0])
-    if len(shape) == 2:
-        return _case_adjacent(p, *shape)
-    if len(shape) == 3:
-        out = _case_star(p, shape)
-        if out is not None:
-            return out
-        return _case_triangle(p, shape)
-    return None
-
-
 def _split_lp(p: AvParams):
-    """Exact search for residual-pair magnitudes plus one variable bound to
-    each threshold: the |S| >= 3 one may act on every size >= 3 labeling,
-    the |S| >= 2 one on every pair labeling and above."""
+    """Exact search for residual-pair magnitudes rho plus one variable bound
+    to each threshold: the |S| >= 3 one (t) may act on every size >= 3
+    labeling, the |S| >= 2 one (r) on every pair labeling and above.
+
+    The objective, sum of rho plus t's constant, keeps the residual small
+    and the |S| >= 3 variable shallow; on the single-pair, adjacent, star
+    and triangle inputs of the transformation figures its optimum is the
+    printed split.  It is bounded below by 0: rho >= 0, and t's constant is
+    at least w_i + w_j >= 0 because its pair coefficients are non-negative.
+    """
     lp = lpsolver.LinearProgram()
     for pm in PAIR_MASKS:
         lp.add_variable(f"rho_{pm}")
@@ -837,7 +729,7 @@ def _split_lp(p: AvParams):
                 row[f"rho_{pm}"] = -1
         lp.add_constraint(row, "==", min_contribution(p, top))
 
-    lp.set_objective({f"wt_{i}": 1 for i in range(1, 5)} | {f"wr_{i}": 1 for i in range(1, 5)})
+    lp.set_objective({f"rho_{pm}": 1 for pm in PAIR_MASKS} | {"gt": 1})
     sol = lpsolver.solve(lp)
     if sol.status != lpsolver.OPTIMAL:
         return None
@@ -850,29 +742,18 @@ def case_split(p: AvParams) -> tuple[MultilinearPoly, list[AvParams]]:
 
     Output variables are each bound to one threshold: every pair labeling
     coefficient is non-negative (normalized onto |S| >= 3) or every
-    one is non-positive (already on the size-2 sign pattern).  Dispatch
-    tries the printed single-pair / adjacent / star / triangle
-    transformations first, widening the on-pair set across ties.  Those
-    tables do not cover every valid input (no table shape holds a
-    complementary pair of on-pairs, for one), so a miss falls through to
-    one exact feasibility program with one variable per threshold.  Input
-    that program cannot decompose either is an InvariantError.
+    one is non-positive (already on the size-2 sign pattern).  A variable
+    already so bound passes through; any other goes to one exact program
+    (``_split_lp``) with one variable per threshold.  Input that program
+    cannot decompose is an InvariantError.
     """
     if p.k != 4:
         raise ValueError("the replacement algebra is specific to 4 variables")
     if p.g < 0 or any(partition_coefficient(p, 1 << e) < 0 for e in range(4)):
         raise ValueError("remove singletons before splitting")
-    kappas = _pair_kappas(p)
-    neg = sorted(pm for pm, v in kappas.items() if v < 0)
-    zero = sorted(pm for pm, v in kappas.items() if v == 0)
-    if not neg or all(v <= 0 for v in kappas.values()):
+    kappas = [partition_coefficient(p, pm) for pm in PAIR_MASKS]
+    if all(v >= 0 for v in kappas) or all(v <= 0 for v in kappas):
         return MultilinearPoly.zero(4), _drop_trivial([p])
-
-    for shape in _shape_candidates(neg, zero):
-        out = _apply_shape(p, shape)
-        if out is not None and _preserves_min(p, *out):
-            return out[0], _drop_trivial(out[1])
-
     out = _split_lp(p)
     _require(out is not None and _preserves_min(p, *out), f"no decomposition found for {p}")
     return out[0], _drop_trivial(out[1])

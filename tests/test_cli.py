@@ -1,5 +1,7 @@
 """Golden-file coverage of every CLI path; outputs must stay byte-stable."""
 
+import time
+
 import pytest
 
 from subquad import cli, lpsolver, maxflow
@@ -294,6 +296,35 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert cli.main(["check", "/nonexistent/path.pbf"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{dir}"],
+        ["reduce", "{cube}", "--k", "3", "--mbfs", "{dir}"],
+        ["check", "{binary}"],
+        ["reduce", "{cube}", "--k", "3", "--mbfs", "{binary}"],
+    ],
+)
+def test_unreadable_input_is_a_usage_error(files, tmp_path, capsys, argv):
+    # a directory, or a file that is not UTF-8 text
+    binary = tmp_path / "binary.pbf"
+    binary.write_bytes(b"\xff\xfe")
+    code = cli.main([a.format(dir=tmp_path, binary=binary, **files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_impossible_k_is_refused_before_any_table(tmp_path, capsys):
+    constant = tmp_path / "constant.pbf"
+    constant.write_text("1 :\n")
+    start = time.perf_counter()
+    code = cli.main(["reduce", str(constant), "--k", "16"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "refusing --k 16" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected(files, capsys):

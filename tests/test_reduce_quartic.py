@@ -74,13 +74,15 @@ class TestRemoveSingletons:
 
 def _check_split(p):
     """case_split keeps the minimum with at most two variables, each wholly
-    on one side of the pair labelings."""
+    on one side of the pair labelings and accepted by
+    normalize_to_reference."""
     res, avs = case_split(p)
     assert _preserves_min(p, res, avs)
     assert len(avs) <= 2
     for a in avs:
         sides = [partition_coefficient(a, pm) for pm in PAIR_MASKS]
         assert all(v >= 0 for v in sides) or all(v <= 0 for v in sides)
+        normalize_to_reference(a)
 
 
 class TestCaseSplit:
@@ -129,14 +131,15 @@ class TestCaseSplit:
 
     def test_printed_table_gap_falls_back(self):
         # one on-pair but a triple outside it is on as well: the printed
-        # one-pair transformation is wrong here and the exact search takes over
+        # one-pair transformation would be wrong here; the exact program
+        # splits it all the same
         p = P(10, (2, 3, 6, 5))
         res, avs = case_split(p)
         assert _preserves_min(p, res, avs)
 
     def test_complementary_on_pairs(self):
         # on-pairs {1,4} and {2,3} are complementary: no printed table
-        # shape holds both, so the exact program decides
+        # shape holds both, the exact program splits them
         _check_split(P(20, (2, 12, 10, 19)))
 
     def test_exhaustive_small_integer_grid(self):
@@ -168,13 +171,26 @@ class TestCaseSplit:
             case_split(P(3, (4, 1, 1, 1)))
 
     def test_undecomposed_input_is_an_invariant_breach(self, monkeypatch):
-        # the printed tables miss this input; with the exact program failing
-        # too, nothing decomposes it
+        # with the exact program failing, nothing else decomposes the input
         calls = []
         monkeypatch.setattr(rq, "_split_lp", lambda p: calls.append(p))
         with pytest.raises(rq.InvariantError, match="no decomposition found"):
             case_split(P(10, (2, 3, 6, 5)))
         assert calls == [P(10, (2, 3, 6, 5))]
+
+    @pytest.mark.parametrize(
+        "p", [P(6, (1, 2, 3, 4)), P(5, (1, 2, 3, 4)), P(5, (4, 2, 2, 2)), P(8, (4, 5, 6, 0))]
+    )
+    def test_caption_inputs_take_one_program(self, monkeypatch, p):
+        split_lp, calls = rq._split_lp, []
+
+        def recording(q):
+            calls.append(q)
+            return split_lp(q)
+
+        monkeypatch.setattr(rq, "_split_lp", recording)
+        case_split(p)
+        assert calls == [p]
 
     def test_randomized_min_preservation(self):
         rng = random.Random(6)
