@@ -27,7 +27,7 @@ from .pbf import (
     mask_of,
     parse_polynomial,
 )
-from .reduce_general import MAX_COLUMNS, ReductionProblem, _column_count, nearest_quadratic, overestimate
+from .reduce_general import ReductionProblem, nearest_quadratic, overestimate
 from .reduce_quartic import (
     NotRepresentable,
     QuarticFunction,
@@ -68,8 +68,8 @@ def _print_reduction(result, k):
     print(f"QUADRATIC vars={k} avs={result.quadratic.n_z}")
     sys.stdout.write(format_polynomial(result.quadratic.poly))
     print("GAPS")
-    for x in sorted(result.per_labeling_gap):
-        print(f"{_label(x)} {format_rational(result.per_labeling_gap[x])}")
+    for row in result.report.rows:
+        print(f"{_label(row.x)} {format_rational(row.gap)}")
     print(f"RESULT distance={format_rational(result.l1_distance)}")
     print(f"RESULT avs={result.quadratic.n_z}")
 
@@ -92,11 +92,6 @@ def _cmd_minimize(args) -> int:
 
 def _problem_from_args(args) -> ReductionProblem:
     target = _read_poly(args.file, args.k)
-    columns = _column_count(args.k, 0)
-    if columns > MAX_COLUMNS:
-        raise ValueError(
-            f"refusing --k {args.k}: even the program with no tables has {columns} columns (limit {MAX_COLUMNS})"
-        )
     spec = args.mbfs or _default_mbfs(args.k)
     return ReductionProblem(target, _mbf_choice(spec, args.k))
 

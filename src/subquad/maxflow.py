@@ -6,87 +6,70 @@ and pair capacities on internal arcs.  A labeling corresponds to the cut
 whose source side is {i : x_i = 1}, and the cut capacity equals the cost
 minus the constant, so the minimum labeling is read off a maximum flow.
 
-The flow is exact: the rational capacities are scaled by the lcm of their
-denominators and Dinic's algorithm (BFS level graph, blocking flow by an
-iterative DFS) runs on plain ints.  Before a result is returned an O(E)
-certificate is checked on those ints -- every arc within its capacity,
-flow conserved at every internal node, and the sink's inflow and the
-source-side cut capacity both equal to the flow value -- so a wrong cut
-raises ``InvariantError`` instead of reaching the caller.
+The flow is exact: ``build_network`` scales the capacity form's rational
+capacities once, by the lcm of their denominators, and Dinic's algorithm
+(BFS level graph, blocking flow by an iterative DFS) runs on those plain
+ints.  Before a result is returned an O(E) certificate is checked on the
+ints -- every arc within its capacity, flow conserved at every internal
+node, and the sink's inflow and the source-side cut capacity both equal
+to the flow value -- so a wrong cut raises ``InvariantError`` instead of
+reaching the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .pbf import CapacityForm, QuadraticPoly, _require, add_into, rat, to_capacity_form
+from .pbf import CapacityForm, QuadraticPoly, _require, to_capacity_form
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowNetwork:
-    """Directed network with one source (0) and one sink (n_internal + 1)."""
+    """Integer s-t network: source 0, sink n_internal + 1, and each arc's
+    capacity ``arcs[u, v] / scale``.  Only ``build_network`` makes one."""
 
     n_internal: int
-    arcs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.arcs = {(u, v): rat(c) for (u, v), c in self.arcs.items()}
-        for (u, v), c in self.arcs.items():
-            self._check_arc(u, v, c)
-
-    def _check_arc(self, u: int, v: int, cap: Fraction):
-        if cap < 0:
-            raise ValueError("arc capacities must be non-negative")
-        if u == v or not 0 <= u <= self.sink or not 0 <= v <= self.sink:
-            raise ValueError(f"bad arc ({u}, {v})")
-
-    @property
-    def source(self) -> int:
-        return 0
+    arcs: dict[tuple[int, int], int]
+    scale: int
 
     @property
     def sink(self) -> int:
         return self.n_internal + 1
 
-    def add(self, u: int, v: int, cap: Fraction):
-        cap = rat(cap)
-        self._check_arc(u, v, cap)
-        add_into(self.arcs, (u, v), cap)
-
 
 @dataclass(frozen=True)
 class CutResult:
     flow_value: Fraction
-    source_side: frozenset[int]
     labeling: int
 
 
 def build_network(c: CapacityForm) -> FlowNetwork:
     """Network whose min cut plus c_empty is the minimum of the quadratic.
 
-    The arcs are copied as they are: ``CapacityForm`` has already checked
-    every node, edge and capacity, and source arcs, sink arcs and pair
-    arcs cannot share a key.
+    Every capacity is multiplied by the lcm of the denominators, once, so
+    the arcs are ints.  ``CapacityForm`` has already checked every node,
+    edge and capacity and dropped the zeros, and source arcs, sink arcs and
+    pair arcs cannot share a key.
     """
-    net = FlowNetwork(c.n_nodes)
-    t = net.sink
-    net.arcs = {(0, i): v for i, v in c.src.items()}
-    net.arcs.update(((i, t), v) for i, v in c.sink.items())
-    net.arcs.update(c.pairs)
-    return net
+    t = c.n_nodes + 1
+    arcs = {(0, i): v for i, v in c.src.items()}
+    arcs.update(((i, t), v) for i, v in c.sink.items())
+    arcs.update(c.pairs)
+    scale = lcm(*{v.denominator for v in arcs.values()})
+    ints = {e: v.numerator * (scale // v.denominator) for e, v in arcs.items()}
+    return FlowNetwork(c.n_nodes, ints, scale)
 
 
 def max_flow(net: FlowNetwork) -> CutResult:
     """Maximum flow value and the minimal minimum cut, exactly.
 
-    Capacities are multiplied by the lcm of their denominators and Dinic's
-    algorithm runs on ints; the value returned is the integer flow divided
-    by that scale.  Each arc is an even edge in paired forward/reverse
-    arrays (edge e's partner is e ^ 1), and each phase builds a BFS level
-    graph and saturates it by an iterative DFS, so deep grids never meet
-    the recursion limit.
+    Dinic's algorithm runs on the network's integer capacities; the value
+    returned is the integer flow divided by the network's scale.  Each arc
+    is an even edge in paired forward/reverse arrays (edge e's partner is
+    e ^ 1), and each phase builds a BFS level graph and saturates it by an
+    iterative DFS, so deep grids never meet the recursion limit.
 
     The cut is the set reachable from the source in the final residual
     graph.  For any maximum flow that set is the intersection of all
@@ -96,16 +79,14 @@ def max_flow(net: FlowNetwork) -> CutResult:
     ``_check_certificate`` before it is returned.
     """
     n = net.sink + 1
-    s, t = net.source, net.sink
-    arcs = [(u, v, c) for (u, v), c in net.arcs.items() if c]
-    scale = lcm(*{c.denominator for _, _, c in arcs})
+    s, t = 0, net.sink
     head: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in arcs:
+    for (u, v), c in net.arcs.items():
         adj[u].append(len(head))
         head.append(v)
-        cap.append(c.numerator * (scale // c.denominator))
+        cap.append(c)
         adj[v].append(len(head))
         head.append(u)
         cap.append(0)
@@ -118,11 +99,11 @@ def max_flow(net: FlowNetwork) -> CutResult:
         total += _blocking_flow(s, t, level, adj, head, cap)
     reach = level  # nodes the last BFS reached: the source side
     _check_certificate(s, t, reach, head, full, cap, total)
-    side = frozenset(v for v in range(1, t) if reach[v] >= 0)
     labeling = 0
-    for v in side:
-        labeling |= 1 << (v - 1)
-    return CutResult(Fraction(total, scale), side, labeling)
+    for v in range(1, t):
+        if reach[v] >= 0:
+            labeling |= 1 << (v - 1)
+    return CutResult(Fraction(total, net.scale), labeling)
 
 
 def _levels(s: int, n: int, adj, head, cap) -> list[int]:

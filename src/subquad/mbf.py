@@ -147,10 +147,6 @@ class AvParams:
     def k(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def of(cls, g, weights) -> "AvParams":
-        return cls(rat(g), tuple(rat(w) for w in weights))
-
 
 def partition_coefficient(p: AvParams, mask: int) -> Fraction:
     """g minus the weights selected by the labeling; its sign decides the

@@ -37,6 +37,11 @@ class VerificationReport:
     def gaps(self) -> dict[int, Fraction]:
         return {row.x: row.gap for row in self.rows}
 
+    @property
+    def distance(self) -> Fraction:
+        """L1 distance of the reduction: the sum of |gap| over labelings."""
+        return sum((abs(row.gap) for row in self.rows), Fraction(0))
+
 
 def brute_min(f: MultilinearPoly) -> tuple[Fraction, int]:
     """Exact global minimum by enumeration; ties take the smallest mask."""

@@ -49,8 +49,13 @@ class ReductionProblem:
     mbf_set: tuple[MbfTable, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mbf_set", tuple(self.mbf_set))
         k = self.target.n_vars
+        columns = _column_count(k, 0)
+        if columns > MAX_COLUMNS:
+            raise ValueError(
+                f"refusing --k {k}: even the program with no tables has {columns} columns (limit {MAX_COLUMNS})"
+            )
+        object.__setattr__(self, "mbf_set", tuple(self.mbf_set))
         seen = set()
         for t in self.mbf_set:
             if t.k != k:
@@ -70,7 +75,6 @@ class ReductionProblem:
 class ReductionResult:
     quadratic: QuadraticPoly
     l1_distance: Fraction
-    per_labeling_gap: dict[int, Fraction]
     report: VerificationReport
 
 
@@ -213,13 +217,13 @@ def _result(problem: ReductionProblem, sol: lpsolver.LpSolution) -> ReductionRes
     oracle; their total must equal the program objective."""
     quadratic = from_capacity_form(_capacity_from_solution(problem, sol.values)).drop_unused_aux()
     report = verify_reduction(problem.target, quadratic)
-    distance = sum((abs(v) for v in report.gaps.values()), Fraction(0))
+    distance = report.distance
     if distance != sol.objective_value:
         raise lpsolver.LpInternalError(
             "oracle gap total disagrees with the program objective; "
             "the tightness block failed to pin the auxiliary minima"
         )
-    return ReductionResult(quadratic, distance, report.gaps, report)
+    return ReductionResult(quadratic, distance, report)
 
 
 def _solve(problem: ReductionProblem) -> ReductionResult:
@@ -294,6 +298,7 @@ def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     if sol.status != lpsolver.OPTIMAL:
         raise ValueError(f"overestimation program is {sol.status} at this anchor")
     result = _result(problem, sol)
-    if any(v > 0 for v in result.per_labeling_gap.values()) or result.per_labeling_gap[anchor] != 0:
+    gaps = result.report.gaps
+    if any(v > 0 for v in gaps.values()) or gaps[anchor] != 0:
         raise lpsolver.LpInternalError("overestimate left a labeling below the target")
     return result

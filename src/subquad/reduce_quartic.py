@@ -453,8 +453,7 @@ def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
     joint = _answer(sol.values, {mono: sign * sol.values[name] for name, mono, sign in _X_COLUMNS})
-    report = verify_reduction(f.poly, joint.to_quadratic())
-    distance = sum((abs(g) for g in report.gaps.values()), Fraction(0))
+    distance = verify_reduction(f.poly, joint.to_quadratic()).distance
     if distance == 0:
         raise lpsolver.LpInternalError("exact fit slipped past the exact program")
     return joint, distance

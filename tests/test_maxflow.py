@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subquad import maxflow
-from subquad.maxflow import FlowNetwork, build_network, max_flow, minimize_quadratic
+from subquad.maxflow import build_network, max_flow, minimize_quadratic
 from subquad.oracle import brute_min
 from subquad.pbf import (
     CapacityForm,
@@ -20,114 +20,76 @@ from subquad.pbf import (
 from _gen import random_submodular_quadratic
 
 
+def _flow(cf):
+    return max_flow(build_network(cf)).flow_value
+
+
 def _cut_capacity(net, side):
-    return sum(
-        (c for (u, v), c in net.arcs.items() if u in side and v not in side),
-        Fraction(0),
-    )
+    """Capacity of the arcs leaving ``side``, in the network's units."""
+    return Fraction(sum(c for (u, v), c in net.arcs.items() if u in side and v not in side), net.scale)
 
 
 class TestMaxFlow:
     def test_single_arc(self):
-        net = FlowNetwork(0, {(0, 1): Fraction(5)})
-        assert max_flow(net).flow_value == 5
+        # one node between source and sink: the cheaper side is cut
+        assert _flow(CapacityForm(1, src={1: Fraction(5)}, sink={1: Fraction(7)})) == 5
 
     def test_two_paths(self):
-        net = FlowNetwork(2)
-        net.add(0, 1, Fraction(3))
-        net.add(1, 3, Fraction(4))
-        net.add(0, 2, Fraction(2))
-        net.add(2, 3, Fraction(7))
-        assert max_flow(net).flow_value == 5
+        cf = CapacityForm(2, src={1: Fraction(3), 2: Fraction(2)}, sink={1: Fraction(4), 2: Fraction(7)})
+        assert _flow(cf) == 5
 
     def test_zero_network(self):
-        net = FlowNetwork(3)
-        assert max_flow(net).flow_value == 0
+        assert _flow(CapacityForm(3)) == 0
 
     def test_rational_capacities(self):
-        net = FlowNetwork(1)
-        net.add(0, 1, Fraction(1, 3))
-        net.add(1, 2, Fraction(5, 7))
-        assert max_flow(net).flow_value == Fraction(1, 3)
+        cf = CapacityForm(1, src={1: Fraction(1, 3)}, sink={1: Fraction(5, 7)})
+        assert _flow(cf) == Fraction(1, 3)
 
     def test_flow_equals_cut_capacity(self):
         rng = random.Random(13)
         for _ in range(30):
             n = rng.randint(2, 7)
-            net = FlowNetwork(n)
-            for _ in range(rng.randint(3, 14)):
-                u = rng.randint(0, n)
-                v = rng.randint(1, n + 1)
-                if u != v:
-                    net.add(u, v, Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])))
+            cap = lambda: Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
+            nodes = range(1, n + 1)
+            cf = CapacityForm(
+                n,
+                src={i: cap() for i in rng.sample(nodes, rng.randint(0, n))},
+                sink={i: cap() for i in rng.sample(nodes, rng.randint(0, n))},
+                pairs={(u, v): cap() for u, v in (rng.sample(nodes, 2) for _ in range(rng.randint(1, 12)))},
+            )
+            net = build_network(cf)
             res = max_flow(net)
-            assert _cut_capacity(net, res.source_side | {0}) == res.flow_value
+            side = {0} | {v for v in nodes if res.labeling >> (v - 1) & 1}
+            assert _cut_capacity(net, side) == res.flow_value == cf.value(res.labeling) - cf.c_empty
 
     def test_rejects_negative_capacity(self):
-        with pytest.raises(ValueError):
-            FlowNetwork(1, {(0, 1): Fraction(-1)})
-
-    def test_add_rejects_negative_capacity(self):
-        net = FlowNetwork(1)
+        # The network's one input path refuses a negative capacity.
         with pytest.raises(ValueError, match="non-negative"):
-            net.add(0, 1, Fraction(-1))
-        assert net.arcs == {}
-
-    def test_add_rejects_self_loop(self):
-        net = FlowNetwork(1)
-        with pytest.raises(ValueError, match="bad arc"):
-            net.add(1, 1, Fraction(1))
-        assert net.arcs == {}
-
-    def test_add_rejects_node_out_of_range(self):
-        net = FlowNetwork(1)
-        with pytest.raises(ValueError, match="bad arc"):
-            net.add(0, 3, Fraction(1))
-        with pytest.raises(ValueError, match="bad arc"):
-            net.add(-1, 1, Fraction(1))
-        assert net.arcs == {}
-
-    def test_add_coerces_before_checking(self):
-        net = FlowNetwork(2)
-        net.add(0, 1, "1/2")
-        net.add(0, 1, 1)
-        assert net.arcs == {(0, 1): Fraction(3, 2)}
-        assert type(net.arcs[(0, 1)]) is Fraction
-        with pytest.raises(ValueError, match="non-negative"):
-            net.add(1, 3, "-1/2")
-        assert max_flow(net).flow_value == 0
+            build_network(CapacityForm(1, src={1: Fraction(-1)}))
 
     def test_constructor_coerces_before_checking(self):
-        net = FlowNetwork(2, {(0, 1): "1/2", (1, 3): 2})
-        assert net.arcs == {(0, 1): Fraction(1, 2), (1, 3): Fraction(2)}
-        assert all(type(c) is Fraction for c in net.arcs.values())
-        assert max_flow(net).flow_value == Fraction(1, 2)
+        assert _flow(CapacityForm(2, src={1: "1/2"}, sink={1: 2})) == Fraction(1, 2)
         with pytest.raises(ValueError, match="non-negative"):
-            FlowNetwork(2, {(0, 1): "-1/2"})
-
-    def test_add_accumulates(self):
-        net = FlowNetwork(1)
-        net.add(0, 1, Fraction(1, 3))
-        net.add(0, 1, Fraction(1, 6))
-        assert net.arcs == {(0, 1): Fraction(1, 2)}
+            build_network(CapacityForm(2, src={1: "-1/2"}))
 
     def test_value_is_reduced_over_mixed_denominators(self):
-        net = FlowNetwork(2)
-        net.add(0, 1, Fraction(1, 3))
-        net.add(1, 3, Fraction(1))
-        net.add(0, 2, Fraction(1, 7))
-        net.add(2, 3, Fraction(1))
-        value = max_flow(net).flow_value
+        cf = CapacityForm(2, src={1: Fraction(1, 3), 2: Fraction(1, 7)}, sink={1: Fraction(1), 2: Fraction(1)})
+        value = _flow(cf)
         assert (value.numerator, value.denominator) == (10, 21)
 
     def test_long_path_needs_no_recursion(self):
+        # source -> 1 -> 2 -> ... -> n -> sink, arc v -> v + 1 at (2 + v % 3) / 3
         n = 5000
-        net = FlowNetwork(n)
-        for v in range(n + 1):
-            net.add(v, v + 1, Fraction(2 + v % 3, 3))
-        res = max_flow(net)
+        cap = lambda v: Fraction(2 + v % 3, 3)
+        cf = CapacityForm(
+            n,
+            src={1: cap(0)},
+            sink={n: cap(n)},
+            pairs={(v, v + 1): cap(v) for v in range(1, n)},
+        )
+        res = max_flow(build_network(cf))
         assert res.flow_value == Fraction(2, 3)
-        assert res.source_side == frozenset()
+        assert res.labeling == 0
 
     def test_certificate_rejects_a_wrong_flow(self, monkeypatch):
         blocking_flow = maxflow._blocking_flow
@@ -136,47 +98,55 @@ class TestMaxFlow:
             return blocking_flow(*args) + 1
 
         monkeypatch.setattr(maxflow, "_blocking_flow", overcounted)
-        net = FlowNetwork(1, {(0, 1): Fraction(1), (1, 2): Fraction(2)})
+        net = build_network(CapacityForm(1, src={1: Fraction(1)}, sink={1: Fraction(2)}))
         with pytest.raises(InvariantError, match="max-flow"):
             max_flow(net)
 
 
 @st.composite
 def networks(draw):
+    """Capacity forms on up to 8 nodes; zero capacities and antiparallel
+    pairs are drawn as well."""
     n = draw(st.integers(0, 8))
-    nodes = st.integers(0, n + 1)
+    if not n:
+        return CapacityForm(0)
+    nodes = st.integers(1, n)
     caps = st.builds(Fraction, st.integers(0, 12), st.integers(1, 9))
-    net = FlowNetwork(n)
+    pairs = {}
     for _ in range(draw(st.integers(0, 24))):
         u, v = draw(nodes), draw(nodes)
         if u == v:
             continue
-        net.add(u, v, draw(caps))
+        pairs[u, v] = draw(caps)
         if draw(st.booleans()):
-            net.add(v, u, draw(caps))
-    return net
+            pairs[v, u] = draw(caps)
+    return CapacityForm(
+        n,
+        c_empty=draw(caps),
+        src=draw(st.dictionaries(nodes, caps)),
+        sink=draw(st.dictionaries(nodes, caps)),
+        pairs=pairs,
+    )
 
 
 class TestMaxFlowProperties:
     @settings(max_examples=300)
     @given(networks())
-    def test_value_and_cut_match_brute_force(self, net):
-        res = max_flow(net)
-        internal = range(1, net.sink)
-        cuts = {}
-        for bits in range(1 << net.n_internal):
-            side = frozenset(v for v in internal if bits >> (v - 1) & 1)
-            cuts[side] = _cut_capacity(net, side | {net.source})
-        best = min(cuts.values())
+    def test_value_and_cut_match_brute_force(self, cf):
+        res = max_flow(build_network(cf))
+        values = [cf.value(m) - cf.c_empty for m in range(1 << cf.n_nodes)]
+        best = min(values)
         assert res.flow_value == best
         assert (res.flow_value.numerator, res.flow_value.denominator) == (
             best.numerator,
             best.denominator,
         )
-        smallest = frozenset(internal).intersection(*(s for s, c in cuts.items() if c == best))
-        assert res.source_side == smallest
-        assert cuts[smallest] == best
-        assert res.labeling == sum(1 << (v - 1) for v in smallest)
+        smallest = (1 << cf.n_nodes) - 1
+        for m, v in enumerate(values):
+            if v == best:
+                smallest &= m
+        assert res.labeling == smallest
+        assert values[smallest] == best
 
 
 class TestBuildNetwork:
@@ -187,7 +157,20 @@ class TestBuildNetwork:
     def test_single_pair_arc(self):
         cf = CapacityForm(2, pairs={(1, 2): Fraction(2)})
         net = build_network(cf)
-        assert net.arcs == {(1, 2): Fraction(2)}
+        assert (net.arcs, net.scale) == ({(1, 2): 2}, 1)
+
+    def test_capacities_become_ints_at_one_scale(self):
+        cf = CapacityForm(
+            2,
+            c_empty=Fraction(-5, 11),
+            src={1: Fraction(1, 2)},
+            sink={2: Fraction(2, 3)},
+            pairs={(2, 1): Fraction(3, 4)},
+        )
+        net = build_network(cf)
+        assert net.scale == 12
+        assert net.arcs == {(0, 1): 6, (2, 3): 8, (2, 1): 9}
+        assert all(type(c) is int for c in net.arcs.values())
 
     def test_min_cut_matches_value_min(self):
         rng = random.Random(19)

@@ -38,6 +38,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ReductionProblem(NEG_CUBE, (AND3, AND3))
 
+    def test_refuses_an_impossible_k_before_the_audit(self):
+        # Even with no tables k = 16 needs more than MAX_COLUMNS columns; the
+        # monotonicity audit of these 14 tables alone takes about 20 s.
+        tables = tuple(MbfTable.threshold(16, r) for r in range(2, 16))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"^refusing --k 16: "):
+            ReductionProblem(MultilinearPoly.zero(16), tables)
+        assert time.monotonic() - start < 2.0
+
     def test_rejects_non_monotone(self):
         parity = MbfTable.from_function(3, lambda m: m.bit_count() % 2 == 1)
         with pytest.raises(ValueError):
@@ -84,7 +93,7 @@ class TestExactCases:
         result = nearest_quadratic(ReductionProblem(NEG_CUBE, pruned3()))
         assert result.l1_distance == 0
         for x in range(8):
-            assert result.per_labeling_gap[x] == 0
+            assert result.report.gaps[x] == 0
 
     def test_supermodular_cube_has_positive_distance(self):
         sup = MultilinearPoly.from_terms(3, [((1, 2, 3), 1)])
@@ -92,7 +101,7 @@ class TestExactCases:
         assert result.l1_distance > 0
         # cross-check against an exhaustive search over tiny integer-capacity
         # quadratics: nothing reaches the LP distance's lower side
-        assert result.l1_distance == sum(abs(g) for g in result.per_labeling_gap.values())
+        assert result.l1_distance == sum(abs(g) for g in result.report.gaps.values())
 
     def test_exact_fit_f2_zero_avs(self):
         target = MultilinearPoly.from_terms(2, [((1, 2), -1)])
@@ -260,7 +269,7 @@ class TestOverestimate:
     def test_supermodular_pair_anchor_full(self):
         target = MultilinearPoly.from_terms(2, [((1, 2), 1)])
         result = overestimate(ReductionProblem(target, ()), anchor=0b11)
-        gaps = result.per_labeling_gap
+        gaps = result.report.gaps
         assert gaps[0b11] == 0
         assert all(g <= 0 for g in gaps.values())
 
@@ -280,7 +289,7 @@ class TestOverestimate:
         )
         tables = (MbfTable.threshold(4, 3), MbfTable.threshold(4, 2))
         result = overestimate(ReductionProblem(g10, tables), anchor=0)
-        gaps = result.per_labeling_gap
+        gaps = result.report.gaps
         assert gaps[0] == 0
         assert all(g <= 0 for g in gaps.values())
         assert result.l1_distance > 0

@@ -41,7 +41,7 @@ from _gen import program_digest, random_av_params, random_generator_combination
 
 
 def P(g, w):
-    return AvParams.of(g, w)
+    return AvParams(g, w)
 
 
 class TestRemoveSingletons:
@@ -624,7 +624,7 @@ def test_invariant_check_survives_optimize_flag():
         "assert False  # fails here unless -O strips asserts\n"
         "rq._preserves_min = lambda *args: False\n"
         "try:\n"
-        "    rq.remove_singletons(AvParams.of(3, (4, 1, 1, 1)))\n"
+        "    rq.remove_singletons(AvParams(3, (4, 1, 1, 1)))\n"
         "except rq.InvariantError:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
