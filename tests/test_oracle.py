@@ -58,6 +58,7 @@ class TestVerifyReduction:
         assert not report.passed
         assert report.gaps[0b111] == -1
         assert all(report.gaps[x] == 0 for x in range(7))
+        assert report.distance == 1
 
     def test_width_mismatch_rejected(self):
         f = MultilinearPoly.from_terms(2, [((1, 2), -1)])
