@@ -6,8 +6,8 @@ and pair capacities on internal arcs.  A labeling corresponds to the cut
 whose source side is {i : x_i = 1}, and the cut capacity equals the cost
 minus the constant, so the minimum labeling is read off a maximum flow.
 
-The flow is exact: ``build_network`` scales the capacity form's rational
-capacities once, by the lcm of their denominators, and Dinic's algorithm
+The flow is exact: ``build_network`` lays the capacity form's integer
+capacities out as arcs, at the form's own scale, and Dinic's algorithm
 (BFS level graph, blocking flow by an iterative DFS) runs on those plain
 ints.  Before a result is returned an O(E) certificate is checked on the
 ints -- every arc within its capacity, flow conserved at every internal
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .pbf import CapacityForm, QuadraticPoly, _require, to_capacity_form
 
@@ -46,20 +45,18 @@ class CutResult:
 
 
 def build_network(c: CapacityForm) -> FlowNetwork:
-    """Network whose min cut plus c_empty is the minimum of the quadratic.
+    """Network whose min cut, plus c_empty and over the scale, is the
+    minimum of the quadratic.
 
-    Every capacity is multiplied by the lcm of the denominators, once, so
-    the arcs are ints.  ``CapacityForm`` has already checked every node,
-    edge and capacity and dropped the zeros, and source arcs, sink arcs and
-    pair arcs cannot share a key.
+    The arcs are the capacity form's ints at its scale: source arcs, sink
+    arcs and pair arcs cannot share a key, and ``CapacityForm`` has already
+    checked every node, edge and capacity.
     """
     t = c.n_nodes + 1
     arcs = {(0, i): v for i, v in c.src.items()}
     arcs.update(((i, t), v) for i, v in c.sink.items())
     arcs.update(c.pairs)
-    scale = lcm(*{v.denominator for v in arcs.values()})
-    ints = {e: v.numerator * (scale // v.denominator) for e, v in arcs.items()}
-    return FlowNetwork(c.n_nodes, ints, scale)
+    return FlowNetwork(c.n_nodes, arcs, c.scale)
 
 
 def max_flow(net: FlowNetwork) -> CutResult:
@@ -201,4 +198,4 @@ def minimize_quadratic(h: QuadraticPoly) -> tuple[Fraction, int]:
     """
     cf = to_capacity_form(h)
     result = max_flow(build_network(cf))
-    return cf.c_empty + result.flow_value, result.labeling
+    return Fraction(cf.c_empty, cf.scale) + result.flow_value, result.labeling

@@ -10,22 +10,24 @@ functional equality.
 Subsets are bitmasks: bit i-1 of a mask corresponds to variable i
 (1-based), so the labeling x1=1, x3=1 is mask 0b101.
 
-A submodular quadratic can be rewritten with non-negative capacities
+A submodular quadratic can be rewritten with positive integer capacities
+at one positive integer scale
 
-    cost(x) = c_empty + sum_i src[i]*(1-x_i) + sum_i sink[i]*x_i
-                      + sum_(i,j) pair[(i,j)]*x_i*(1-x_j)
+    scale*cost(x) = c_empty + sum_i src[i]*(1-x_i) + sum_i sink[i]*x_i
+                            + sum_(i,j) pair[(i,j)]*x_i*(1-x_j)
 
 which is the capacity of an s-t cut (node on the source side <=> x=1)
-plus a signed constant.  The normal form chosen by ``to_capacity_form``
-is documented there; its correctness is pinned by round-trip tests.
+plus a signed constant, so the min cut runs on these ints as they are.
+The normal form chosen by ``to_capacity_form`` is documented there; its
+correctness is pinned by round-trip tests.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -334,33 +336,40 @@ class QuadraticPoly:
         return QuadraticPoly(poly, self.n_x, len(used))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapacityForm:
-    """Quadratic submodular cost as non-negative edge capacities.
+    """Submodular quadratic as positive integer edge capacities at one scale.
 
     Node indices run 1..n_x+n_z (originals first).  ``src[i]`` charges
     x_i = 0, ``sink[i]`` charges x_i = 1, and ``pairs[(i, j)]`` charges
-    x_i = 1, x_j = 0; ``c_empty`` may take either sign.
+    x_i = 1, x_j = 0.  Every number counts units of 1/scale: a labeling
+    costs (c_empty + the capacity it cuts) / scale, and ``c_empty`` may
+    take either sign.  Only positive capacities are stored.
     """
 
     n_x: int
-    n_z: int = 0
-    c_empty: Fraction = Fraction(0)
-    src: dict[int, Fraction] = field(default_factory=dict)
-    sink: dict[int, Fraction] = field(default_factory=dict)
-    pairs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    n_z: int
+    scale: int
+    c_empty: int
+    src: dict[int, int]
+    sink: dict[int, int]
+    pairs: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        self.c_empty = rat(self.c_empty)
+        if type(self.scale) is not int or self.scale <= 0:
+            raise ValueError(f"scale {self.scale!r} is not a positive int")
+        if type(self.c_empty) is not int:
+            raise ValueError(f"c_empty {self.c_empty!r} is not an int")
         n = self.n_nodes
-        node = (lambda i: 1 <= i <= n, lambda i: f"node {i} out of range")
-        self.src = _capacities(self.src, *node)
-        self.sink = _capacities(self.sink, *node)
-        self.pairs = _capacities(
-            self.pairs,
-            lambda e: e[0] != e[1] and 1 <= e[0] <= n and 1 <= e[1] <= n,
-            lambda e: f"bad edge ({e[0]}, {e[1]})",
-        )
+        for i in chain(self.src, self.sink):
+            if not 1 <= i <= n:
+                raise ValueError(f"node {i} out of range")
+        for i, j in self.pairs:
+            if i == j or not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"bad edge ({i}, {j})")
+        for v in chain(self.src.values(), self.sink.values(), self.pairs.values()):
+            if type(v) is not int or v <= 0:
+                raise ValueError(f"capacity {v!r} is not a positive int")
 
     @property
     def n_nodes(self) -> int:
@@ -377,46 +386,24 @@ class CapacityForm:
         for (i, j), v in self.pairs.items():
             if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
                 total += v
-        return total
-
-
-def _capacities(caps: dict, key_ok, key_error) -> dict:
-    """Validate capacities in one pass: keys in range, values non-negative.
-
-    Zero values are dropped and other values coerced to Fraction; the dict
-    is copied only when it holds such a value, so a clean one is kept.
-    """
-    clean = True
-    for key, v in caps.items():
-        c = rat(v)
-        if not c:
-            clean = False
-            continue
-        if not key_ok(key):
-            raise ValueError(key_error(key))
-        if c.numerator < 0:
-            raise ValueError("capacities must be non-negative")
-        clean = clean and c is v
-    if clean:
-        return caps
-    return {key: c for key, v in caps.items() if (c := rat(v))}
+        return Fraction(total, self.scale)
 
 
 def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
-    """Rewrite a submodular quadratic as non-negative capacities.
+    """Rewrite a submodular quadratic as positive integer capacities.
 
     Normal form: each bilinear term a*x_i*x_j (a <= 0, i < j) becomes the
     pair capacity -a on the edge (j -> i) plus the linear correction a*x_j;
-    a resulting linear coefficient v goes to sink[i] when v >= 0, and
-    otherwise contributes -v to src[i] and v to the constant.
+    a resulting linear coefficient v goes to sink[i] when v > 0, and when
+    v < 0 contributes -v to src[i] and v to the constant.
 
-    The sums run on ints: every coefficient is scaled once by the lcm of
-    the denominators, and each capacity becomes one Fraction at the end.
+    Every coefficient is scaled once by the lcm of the denominators, which
+    becomes the form's scale, and the sums stay ints.
     """
     terms = h.poly.terms
     scale = lcm(*{c.denominator for c in terms.values()})
     linear: dict[int, int] = {}
-    pairs: dict[tuple[int, int], Fraction] = {}
+    pairs: dict[tuple[int, int], int] = {}
     c_empty = 0
     for mask, coeff in terms.items():
         a = coeff.numerator * (scale // coeff.denominator)
@@ -433,23 +420,23 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
             )
         else:
             hi = mask.bit_length()
-            pairs[(hi, (mask & -mask).bit_length())] = Fraction(-a, scale)
+            pairs[(hi, (mask & -mask).bit_length())] = -a
             add_into(linear, hi, a)
-    src: dict[int, Fraction] = {}
-    sink: dict[int, Fraction] = {}
+    src: dict[int, int] = {}
+    sink: dict[int, int] = {}
     for i, a in linear.items():
         if a > 0:
-            sink[i] = Fraction(a, scale)
+            sink[i] = a
         elif a:
-            src[i] = Fraction(-a, scale)
+            src[i] = -a
             c_empty += a
-    return CapacityForm(h.n_x, h.n_z, Fraction(c_empty, scale), src, sink, pairs)
+    return CapacityForm(h.n_x, h.n_z, scale, c_empty, src, sink, pairs)
 
 
 def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
     """Expand capacities back into a quadratic polynomial (exact inverse
     on values; composition with to_capacity_form is pointwise identity)."""
-    acc: dict[int, Fraction] = {0: c.c_empty}
+    acc: dict[int, int] = {0: c.c_empty}
     for i, v in c.src.items():
         acc[0] += v
         add_into(acc, 1 << (i - 1), -v)
@@ -459,7 +446,8 @@ def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
         mi, mj = 1 << (i - 1), 1 << (j - 1)
         add_into(acc, mi, v)
         add_into(acc, mi | mj, -v)
-    return QuadraticPoly(MultilinearPoly(c.n_nodes, acc), c.n_x, c.n_z)
+    poly = MultilinearPoly(c.n_nodes, {m: Fraction(v, c.scale) for m, v in acc.items()})
+    return QuadraticPoly(poly, c.n_x, c.n_z)
 
 
 # A head of ASCII digits with an optional sign and denominator is read with

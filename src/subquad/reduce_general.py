@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from . import lpsolver
 from .mbf import MbfTable, is_monotone
@@ -136,9 +137,11 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
     k, M = problem.k, len(problem.mbf_set)
     columns = _column_count(k, M)
     if columns > MAX_COLUMNS:
+        # the generators set has max(k - 2, 1) tables; advise it only when smaller
+        advice = "--mbfs generators or fewer tables" if M > max(k - 2, 1) else "fewer tables"
         raise ValueError(
             f"refusing a {columns}-column program for k={k} with {M} tables "
-            f"(limit {MAX_COLUMNS}); use --mbfs generators or fewer tables"
+            f"(limit {MAX_COLUMNS}); use {advice}"
         )
     caps = _capacities(k, M)
     name = {charge: n for n, charge in caps}
@@ -200,16 +203,25 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
 
 
 def _capacity_from_solution(problem: ReductionProblem, values: dict[str, Fraction]) -> CapacityForm:
+    """The capacity form at an LP point: every value scaled once by the
+    lcm of their denominators; zero capacities are left out."""
     k, M = problem.k, len(problem.mbf_set)
+    caps = _capacities(k, M)
+    scale = lcm(values["c0"].denominator, *[values[n].denominator for n, _ in caps])
     src, sink, pairs = {}, {}, {}
-    for n, (u, v) in _capacities(k, M):
+    for n, (u, v) in caps:
+        c = values[n]
+        if not c:
+            continue
+        c = c.numerator * (scale // c.denominator)
         if u == "src":
-            src[v] = values[n]
+            src[v] = c
         elif u == "snk":
-            sink[v] = values[n]
+            sink[v] = c
         else:
-            pairs[u, v] = values[n]
-    return CapacityForm(k, M, values["c0"], src, sink, pairs)
+            pairs[u, v] = c
+    c0 = values["c0"]
+    return CapacityForm(k, M, scale, c0.numerator * (scale // c0.denominator), src, sink, pairs)
 
 
 def _result(problem: ReductionProblem, sol: lpsolver.LpSolution) -> ReductionResult:

@@ -327,6 +327,16 @@ def test_impossible_k_is_refused_before_any_table(tmp_path, capsys):
     assert "refusing --k 16" in capsys.readouterr().err
 
 
+def test_oversized_generators_set_is_not_told_to_use_generators(tmp_path, capsys):
+    # k = 7 defaults to its 5 generator tables, a 2907-column program
+    constant = tmp_path / "constant.pbf"
+    constant.write_text("1 :\n")
+    code = cli.main(["reduce", str(constant), "--k", "7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: refusing a 2907-column program for k=7 with 5 tables (limit 2500); use fewer tables\n"
+
+
 def test_unknown_flag_rejected(files, capsys):
     assert cli.main(["check", files["g6"], "--bogus"]) == 1
 

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -150,7 +151,7 @@ class TestCapacityForm:
 
     def test_single_unary(self):
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.from_terms(1, [((1,), 1)]), 1))
-        assert cf.sink == {1: Fraction(1)} and not cf.src and not cf.pairs
+        assert (cf.scale, cf.sink) == (1, {1: 1}) and not cf.src and not cf.pairs
 
     def test_constant_only(self):
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.from_terms(1, [((), 5)]), 1))
@@ -166,40 +167,57 @@ class TestCapacityForm:
         for _ in range(40):
             h = random_submodular_quadratic(rng, rng.randint(1, 12))
             cf = to_capacity_form(h)
-            assert all(v >= 0 for v in cf.src.values())
-            assert all(v >= 0 for v in cf.sink.values())
-            assert all(v >= 0 for v in cf.pairs.values())
+            assert all(v > 0 for v in cf.src.values())
+            assert all(v > 0 for v in cf.sink.values())
+            assert all(v > 0 for v in cf.pairs.values())
             back = from_capacity_form(cf)
             assert back.poly == h.poly
 
     def test_validation(self):
         with pytest.raises(ValueError, match="node 3 out of range"):
-            CapacityForm(1, 1, src={3: Fraction(1)})
+            CapacityForm(1, 1, 1, 0, {3: 1}, {}, {})
         with pytest.raises(ValueError, match="node 0 out of range"):
-            CapacityForm(2, sink={0: Fraction(1)})
+            CapacityForm(2, 0, 1, 0, {}, {0: 1}, {})
         with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
-            CapacityForm(2, pairs={(2, 2): Fraction(1)})
+            CapacityForm(2, 0, 1, 0, {}, {}, {(2, 2): 1})
         with pytest.raises(ValueError, match=r"bad edge \(1, 3\)"):
-            CapacityForm(2, pairs={(1, 3): Fraction(1)})
-        for field in ("src", "sink"):
-            with pytest.raises(ValueError, match="non-negative"):
-                CapacityForm(2, **{field: {1: "-1/2"}})
-        with pytest.raises(ValueError, match="non-negative"):
-            CapacityForm(2, pairs={(1, 2): Fraction(-1)})
+            CapacityForm(2, 0, 1, 0, {}, {}, {(1, 3): 1})
 
-    def test_coerces_and_drops_zeros(self):
-        cf = CapacityForm(2, 0, "1/3", {1: "1/2", 2: 0}, {2: 3}, {(1, 2): Fraction(0), (2, 1): Fraction(1)})
-        assert (cf.c_empty, cf.src, cf.sink, cf.pairs) == (
-            Fraction(1, 3), {1: Fraction(1, 2)}, {2: Fraction(3)}, {(2, 1): Fraction(1)}
-        )
-        assert all(type(v) is Fraction for d in (cf.src, cf.sink, cf.pairs) for v in d.values())
-        clean = {1: Fraction(1)}
-        assert CapacityForm(1, src=clean).src is clean
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), "1", 0, -1, True])
+    def test_refuses_anything_but_positive_int_capacities(self, bad):
+        for caps in ({1: bad}, {}, {}), ({}, {1: bad}, {}), ({}, {}, {(1, 2): bad}):
+            with pytest.raises(ValueError, match="is not a positive int"):
+                CapacityForm(2, 0, 1, 0, *caps)
+
+    @pytest.mark.parametrize("scale", [0, -3, Fraction(2), "6"])
+    def test_refuses_a_scale_that_is_not_a_positive_int(self, scale):
+        with pytest.raises(ValueError, match="scale .* is not a positive int"):
+            CapacityForm(1, 0, scale, 0, {1: 1}, {}, {})
+
+    def test_refuses_a_c_empty_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="c_empty .* is not an int"):
+            CapacityForm(1, 0, 2, Fraction(-1, 2), {}, {}, {})
+
+    def test_keeps_the_dicts_it_is_given(self):
+        src, sink, pairs = {1: 2}, {2: 3}, {(2, 1): 1}
+        cf = CapacityForm(2, 0, 6, -5, src, sink, pairs)
+        assert cf.src is src and cf.sink is sink and cf.pairs is pairs
+        assert [cf.value(m) for m in range(4)] == [Fraction(-3, 6), Fraction(-5, 6), Fraction(1, 6), Fraction(-2, 6)]
 
     @settings(max_examples=300)
     @given(submodular_quadratics())
     def test_round_trip_property(self, h):
         assert from_capacity_form(to_capacity_form(h)).poly == h.poly
+
+    @settings(max_examples=200)
+    @given(submodular_quadratics())
+    def test_int_form_property(self, h):
+        cf = to_capacity_form(h)
+        assert all(type(v) is int for v in (cf.n_x, cf.n_z, cf.scale, cf.c_empty))
+        for caps in (cf.src, cf.sink, cf.pairs):
+            assert all(type(v) is int and v > 0 for v in caps.values())
+        assert cf.scale == lcm(*[c.denominator for c in h.poly.terms.values()])
+        assert [cf.value(x) for x in range(1 << h.n_vars)] == [h.poly.evaluate(x) for x in range(1 << h.n_vars)]
 
 
 def _reference_capacity_form(h):
@@ -267,11 +285,14 @@ class TestCapacityFormGolden:
     def test_matches_the_fraction_reference(self, h):
         cf = to_capacity_form(h)
         c_empty, src, sink, pairs = _reference_capacity_form(h)
-        assert cf.c_empty == c_empty
-        assert cf.src == src
-        assert cf.sink == sink
-        assert cf.pairs == pairs
-        assert all(type(v) is Fraction for d in (cf.src, cf.sink, cf.pairs) for v in d.values())
+
+        def rational(caps):
+            return {k: Fraction(v, cf.scale) for k, v in caps.items()}
+
+        assert Fraction(cf.c_empty, cf.scale) == c_empty
+        assert rational(cf.src) == src
+        assert rational(cf.sink) == sink
+        assert rational(cf.pairs) == pairs
 
     @settings(max_examples=200)
     @given(mixed_quadratics(), st.data())

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from subquad.mbf import MbfTable, enumerate_mbfs, induced_mbf, is_monotone, prune_mbf_set
-from subquad.pbf import MultilinearPoly
+from subquad.pbf import MultilinearPoly, format_polynomial, format_rational
 from subquad.reduce_general import (
     MAX_COLUMNS,
     ReductionProblem,
@@ -79,6 +80,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="--mbfs generators"):
             build_reduction_lp(problem)
         assert time.monotonic() - start < 5.0
+
+
+    def test_generators_advice_only_for_larger_sets(self):
+        generators = tuple(MbfTable.threshold(7, r) for r in range(2, 7))
+        with pytest.raises(ValueError, match=r"\(limit 2500\); use fewer tables$"):
+            build_reduction_lp(ReductionProblem(MultilinearPoly.zero(7), generators))
+        with pytest.raises(ValueError, match="use --mbfs generators or fewer tables$"):
+            build_reduction_lp(ReductionProblem(MultilinearPoly.zero(4), tuple(enumerate_mbfs(4))))
 
 
 class TestExactCases:
@@ -293,6 +302,22 @@ class TestOverestimate:
         assert gaps[0] == 0
         assert all(g <= 0 for g in gaps.values())
         assert result.l1_distance > 0
+
+
+class TestAnswerGolden:
+    # SHA-256 over the quadratic and the L1 distance nearest_quadratic gives
+    # for the first 50 criterion-05 cubics, recorded before the LP point was
+    # read back through the integer capacity form.
+    GOLDEN = "5ca390f3c9ad40fa419c18829410e30e46f4a76e96648deaab735e421422120a"
+
+    def test_first_criterion_05_answers(self):
+        rng = random.Random(53)
+        digest = hashlib.sha256()
+        for _ in range(50):
+            result = nearest_quadratic(ReductionProblem(random_submodular_cubic(rng), pruned3()))
+            digest.update(format_polynomial(result.quadratic.poly).encode())
+            digest.update(f"l1={format_rational(result.l1_distance)}\n".encode())
+        assert digest.hexdigest() == self.GOLDEN
 
 
 class TestProgramGolden:
