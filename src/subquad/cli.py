@@ -40,7 +40,7 @@ USAGE_ERROR, FAILURE, INTERNAL_ERROR = 1, 2, 3
 
 
 def _read_poly(path: str, n_vars: int | None = None) -> MultilinearPoly:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_polynomial(fh.read(), n_vars)
 
 
@@ -56,7 +56,7 @@ def _mbf_choice(spec: str, k: int) -> tuple[MbfTable, ...]:
     if spec == "generators":
         rs = range(2, k) if k >= 3 else (2,)
         return tuple(MbfTable.threshold(k, r) for r in rs)
-    with open(spec, "r", encoding="utf-8") as fh:
+    with open(spec, "r", encoding="utf-8-sig") as fh:
         return tuple(parse_tables(fh.read(), k))
 
 

@@ -407,9 +407,12 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
     c_empty = 0
     for mask, coeff in terms.items():
         a = coeff.numerator * (scale // coeff.denominator)
-        if not mask & (mask - 1):  # constant or linear
+        low = mask & -mask
+        if mask == low:  # constant or linear
             if mask:
-                add_into(linear, mask.bit_length(), a)
+                i = mask.bit_length()
+                old = linear.get(i)
+                linear[i] = a if old is None else old + a
             else:
                 c_empty += a
         elif a > 0:
@@ -420,8 +423,9 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
             )
         else:
             hi = mask.bit_length()
-            pairs[(hi, (mask & -mask).bit_length())] = -a
-            add_into(linear, hi, a)
+            pairs[(hi, low.bit_length())] = -a
+            old = linear.get(hi)
+            linear[hi] = a if old is None else old + a
     src: dict[int, int] = {}
     sink: dict[int, int] = {}
     for i, a in linear.items():
@@ -465,6 +469,46 @@ def _index_column(raw: str, pos: int) -> int:
     return tok.start() + 1 if tok else 1
 
 
+def _parse_head(head: str, lineno: int, raw: str) -> Fraction:
+    """A line's coefficient, or the error that names its column."""
+    plain = _PLAIN_RATIONAL.fullmatch(head)
+    try:
+        if plain is None:
+            return Fraction(head)
+        num, den = plain.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1) from None
+
+
+def _index_error(tokens: list[str], lineno: int, raw: str) -> PolyParseError:
+    """The error of a line whose index tokens failed a bulk check, found by
+    walking them in order: a bad or out-of-range token first, else the
+    second occurrence of the first repeated variable."""
+    seen, repeated = set(), None
+    for pos, tok in enumerate(tokens):
+        try:
+            i = int(tok)
+        except ValueError:
+            return PolyParseError(f"bad variable index {tok!r}", lineno, _index_column(raw, pos))
+        if i < 1:
+            return PolyParseError(f"variable index {i} must be >= 1", lineno, _index_column(raw, pos))
+        if i in seen and repeated is None:
+            repeated = pos
+        seen.add(i)
+    return PolyParseError("repeated variable in one term", lineno, _index_column(raw, repeated))
+
+
+def _first_mention(text: str, index: int) -> tuple[int, int]:
+    """Line number and column of the first token naming ``index`` in a text
+    whose lines have all parsed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        indices = [int(tok) for tok in raw.split("#", 1)[0].partition(":")[2].split()]
+        if index in indices:
+            return lineno, _index_column(raw, indices.index(index))
+    raise InvariantError(f"index {index} is on no line")
+
+
 def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
     """Parse the term-per-line format: ``<rational> [: i j k ...]``.
 
@@ -472,47 +516,49 @@ def parse_polynomial(text: str, n_vars: int | None = None) -> MultilinearPoly:
     summed (sums that cancel to zero are dropped), and term order is
     irrelevant.  When n_vars is omitted it is inferred from the largest index
     mentioned.
+
+    Each distinct coefficient text is read once per call, and a line's
+    indices are converted and checked in bulk; the column an error names is
+    worked out only once a line has failed.
     """
     acc: dict[int, Fraction] = {}
-    max_index, max_at = 0, (1, "", 0)  # line number, line and token position of the largest index
+    heads: dict[str, Fraction] = {}  # coefficient text -> value, for texts that parsed
+    may_cancel = False  # whether a zero coefficient or a sum may have left a zero
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, tail = line.partition(":")
-        head = head.strip()
-        plain = _PLAIN_RATIONAL.fullmatch(head)
-        try:
-            if plain is None:
-                coeff = Fraction(head)
-            else:
-                num, den = plain.groups()
-                coeff = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            raise PolyParseError(f"bad rational {head!r}", lineno, raw.index(head) + 1 if head else 1)
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split(":", 1)
+        head = parts[0].strip()
+        if len(parts) == 1:
+            if not head:
+                continue
+            tokens = []
+        else:
+            tokens = parts[1].split()
+        coeff = heads.get(head)
+        if coeff is None:
+            coeff = heads[head] = _parse_head(head, lineno, raw)
+            may_cancel |= not coeff
         mask = 0
-        repeated = None
-        for pos, tok in enumerate(tail.split()):
+        if tokens:
             try:
-                i = int(tok)
+                for i in map(int, tokens):
+                    mask |= 1 << (i - 1)  # an index below 1 is a negative shift: ValueError
             except ValueError:
-                raise PolyParseError(f"bad variable index {tok!r}", lineno, _index_column(raw, pos))
-            if i < 1:
-                raise PolyParseError(f"variable index {i} must be >= 1", lineno, _index_column(raw, pos))
-            bit = 1 << (i - 1)
-            if mask & bit and repeated is None:
-                repeated = pos
-            mask |= bit
-            if i > max_index:
-                max_index, max_at = i, (lineno, raw, pos)
-        if repeated is not None:
-            raise PolyParseError("repeated variable in one term", lineno, _index_column(raw, repeated))
-        add_into(acc, mask, coeff)
+                raise _index_error(tokens, lineno, raw) from None
+            if mask.bit_count() != len(tokens):
+                raise _index_error(tokens, lineno, raw)
+        old = acc.get(mask)
+        if old is None:
+            acc[mask] = coeff
+        else:
+            acc[mask] = old + coeff
+            may_cancel = True
+    max_index = max(acc, default=0).bit_length()
     n = max_index if n_vars is None else n_vars
     if n < max_index:
-        lineno, raw, pos = max_at
-        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", lineno, _index_column(raw, pos))
-    return MultilinearPoly._validated(n, {mask: c for mask, c in acc.items() if c})
+        raise PolyParseError(f"index {max_index} exceeds declared {n} variables", *_first_mention(text, max_index))
+    if may_cancel:
+        acc = {mask: c for mask, c in acc.items() if c}
+    return MultilinearPoly._validated(n, acc)
 
 
 def format_polynomial(p: MultilinearPoly) -> str:

@@ -226,10 +226,19 @@ _VALUED_ROWS = tuple((top, 1) for top in TRIPLES + (FULL4,)) + tuple((pm, -1) fo
 
 
 @cache
+def _shared_row(coeffs: tuple[tuple[str, int], ...], rel: str, rhs: Fraction) -> lpsolver.Constraint:
+    """One Constraint per distinct states-program row, given its sorted
+    coefficients.  The on-sets repeat their rows: the 113 sweep programs'
+    6667 rows hold 200 distinct ones."""
+    return lpsolver.Constraint(dict(coeffs), rel, rhs)
+
+
+@cache
 def _states_rows(on2: MbfTable, sign_rows: bool, dominance: bool) -> tuple[lpsolver.Constraint, ...]:
     """The states program's rows with every right-hand side 0; none of
     their coefficients depends on f.  Shared by every program built for
-    these arguments (at most 114 on-sets times 3 flag combinations), so
+    these arguments (at most 114 on-sets times 3 flag combinations), and
+    each row with every other template that has it (``_shared_row``), so
     neither the tuple nor a row's dict is ever mutated."""
     lp = lpsolver.LinearProgram()
     _add_av_variables(lp)
@@ -255,7 +264,7 @@ def _states_rows(on2: MbfTable, sign_rows: bool, dominance: bool) -> tuple[lpsol
                     for name, c in _zpart_form(mask, a1, a2).items():
                         row[name] = row.get(name, 0) - c
                     lp.add_constraint(row, "<=", 0)
-    return tuple(lp.constraints)
+    return tuple(_shared_row(tuple(sorted(con.coeffs.items())), con.rel, con.rhs) for con in lp.constraints)
 
 
 def _states_lp(

@@ -317,6 +317,26 @@ def test_unreadable_input_is_a_usage_error(files, tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_on_a_polynomial_file_is_read_past(files, tmp_path, capsys):
+    cube = tmp_path / "bom_cube.pbf"
+    cube.write_bytes(BOM + CUBE_TEXT.encode())
+    assert run(capsys, ["check", str(cube)]) == (0, "RESULT submodular=true\n")
+    assert run(capsys, ["reduce", str(cube), "--k", "3"]) == run(capsys, ["reduce", files["cube"], "--k", "3"])
+
+
+def test_byte_order_mark_on_a_table_file_is_read_past(files, tmp_path, capsys):
+    tables = tmp_path / "bom.mbf"
+    tables.write_bytes(BOM + b"00000001\n")
+    plain = tmp_path / "plain.mbf"
+    plain.write_bytes(b"00000001\n")
+    code, out = run(capsys, ["reduce", files["cube"], "--k", "3", "--mbfs", str(tables)])
+    assert code == 0 and "RESULT distance=0" in out
+    assert run(capsys, ["reduce", files["cube"], "--k", "3", "--mbfs", str(plain)]) == (code, out)
+
+
 def test_impossible_k_is_refused_before_any_table(tmp_path, capsys):
     constant = tmp_path / "constant.pbf"
     constant.write_text("1 :\n")

@@ -420,6 +420,40 @@ class TestParseDifferential:
         text = "\n".join(h + sep + gap.join(idx) + note for h, sep, idx, gap, note in lines)
         assert _parse_outcome(parse_polynomial, text, n_vars) == _parse_outcome(_reference_parse, text, n_vars)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["1/2", " 1/2", "+1/2", "2/4", "0.5", "-0", "0", "-3", "x", "1/0", "", "1 /2"]),
+                st.sampled_from(["", " :", ": "]),
+                st.lists(st.sampled_from(["1", "2", "3", "4"]), max_size=3),
+            ),
+            max_size=40,
+        ),
+        st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_repeated_heads_match_the_reference(self, lines, n_vars):
+        # Few distinct heads over many lines, so most lines reuse a head
+        # already read in the same call: spellings of one value, zeros that
+        # cancel, and bad heads that come back.
+        text = "\n".join(head + sep + " ".join(idx) if sep else head for head, sep, idx in lines)
+        assert _parse_outcome(parse_polynomial, text, n_vars) == _parse_outcome(_reference_parse, text, n_vars)
+
+    @pytest.mark.parametrize("line", ["1 : 0 x", "1 : 2 2 x", "1 : 2 2 0", "1 : x 0", "1 : 3 -1 3"])
+    def test_index_error_precedence_matches_the_reference(self, line):
+        # A bad or out-of-range token wins over a repeat before it.
+        text = f"1 : 1\n{line}\n"
+        got = _parse_outcome(parse_polynomial, text, None)
+        assert got[0] == "error"
+        assert got == _parse_outcome(_reference_parse, text, None)
+
+    def test_parses_sharing_a_head_do_not_share_terms(self):
+        first = parse_polynomial("1/2 : 1\n1/2 : 2\n")
+        second = parse_polynomial("1/2 : 1\n1/2 : 2\n")
+        assert first == second and first.terms is not second.terms
+        first.terms[0b11] = Fraction(1)
+        assert second.terms == {0b01: Fraction(1, 2), 0b10: Fraction(1, 2)}
+
     def test_bare_colon_line_is_an_error(self):
         with pytest.raises(PolyParseError) as err:
             parse_polynomial("1 : 1\n:\n")

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -449,6 +450,25 @@ class TestSearchPrograms:
         assert first.dump() == dump
         assert [(dict(con.coeffs), con.rel, con.rhs) for con in shared] == before
         assert all(con.rhs == 0 for con in shared)
+
+    def test_sweep_templates_hold_each_distinct_row_once(self):
+        # The 113 sweep on-sets' dominance-only templates repeat 200
+        # distinct rows across 6667; unshared they held about 2.4 MB.
+        onsets = _second_onsets()[1:]
+        for on2 in onsets:
+            rq._moebius(on2)  # also cached for _assemble; not the templates' memory
+        rq._states_rows.cache_clear()
+        rq._shared_row.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            templates = [rq._states_rows(on2, False, True) for on2 in onsets]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, templates)) == 6667
+        assert len({id(con) for rows in templates for con in rows}) == 200
+        assert held < 500_000
 
     def test_first_presolve_decides_like_the_exact_program(self):
         # Criterion 03 and the G10 tests solve reduce_quartic's first
