@@ -453,7 +453,7 @@ class TestSearchPrograms:
 
     def test_sweep_templates_hold_each_distinct_row_once(self):
         # The 113 sweep on-sets' dominance-only templates repeat 200
-        # distinct rows across 6667; unshared they held about 2.4 MB.
+        # distinct rows across 6667; each is held once.
         onsets = _second_onsets()[1:]
         for on2 in onsets:
             rq._moebius(on2)  # also cached for _assemble; not the templates' memory
