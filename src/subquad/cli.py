@@ -149,24 +149,21 @@ def _cmd_overestimate(args) -> int:
 
 
 def _cmd_reduce4(args) -> int:
-    poly = _read_poly(args.file, 4)
-    f = QuarticFunction(poly)
+    f = QuarticFunction(_read_poly(args.file, 4))
     if args.nearest:
-        joint, distance = nearest_quartic(f)
-        representable = distance == 0
-        print(f"RESULT representable={'true' if representable else 'false'}")
-        print(f"RESULT distance={format_rational(distance)}")
+        result = nearest_quartic(f)
+        print(f"RESULT representable={'true' if result.report.passed else 'false'}")
+        print(f"RESULT distance={format_rational(result.l1_distance)}")
     else:
         try:
-            joint = reduce_quartic(f)
+            result = reduce_quartic(f)
         except NotRepresentable:
             print("RESULT representable=false")
             return FAILURE
         print("RESULT representable=true")
-    h = joint.to_quadratic()
-    print(f"QUADRATIC vars=4 avs={h.n_z}")
-    sys.stdout.write(format_polynomial(h.poly))
-    sys.stdout.write(format_report(verify_reduction(poly, h)))
+    print(f"QUADRATIC vars=4 avs={result.quadratic.n_z}")
+    sys.stdout.write(format_polynomial(result.quadratic.poly))
+    sys.stdout.write(format_report(result.report))
     return 0
 
 

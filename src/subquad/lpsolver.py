@@ -31,8 +31,10 @@ Entering columns follow Bland's rule (smallest column number with a
 negative reduced cost), ties in the ratio test leave the basic variable
 with the smallest column number, which rules out cycling, an artificial
 is driven out on its row's first nonzero, and rows left all zero are
-dropped; so the pivot sequence, every vertex and every value are those of
-the real tableau, whatever the scales.
+dropped.  The exception is the phase-1 row, minus the sum of the
+artificial rows at their scales: it weights each artificial by its row's
+scale, so the vertex phase 1 reaches, and with it the optimal vertex
+returned, can move when the scales do (doubling a rhs of 5/2, say).
 
 Artificial columns are implicit: they never enter, and a pivot updates
 each column from that column, the pivot column and the pivot row alone,

@@ -43,6 +43,24 @@ class VerificationReport:
         return sum((abs(row.gap) for row in self.rows), Fraction(0))
 
 
+@dataclass(frozen=True)
+class ReductionResult:
+    """Every reduction's answer: the quadratic and the report of the
+    ``verify_reduction`` call that checked it."""
+
+    quadratic: QuadraticPoly
+    report: VerificationReport
+
+    @property
+    def l1_distance(self) -> Fraction:
+        return self.report.distance
+
+    def to_quadratic(self) -> QuadraticPoly:
+        # Kept only for the benchmark's quartic and grid_cliques ops, which
+        # call it on reduce_quartic's answer; everything else reads .quadratic.
+        return self.quadratic
+
+
 def brute_min(f: MultilinearPoly) -> tuple[Fraction, int]:
     """Exact global minimum by enumeration; ties take the smallest mask."""
     if f.n_vars > ENUMERATION_CAP:

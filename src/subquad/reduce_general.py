@@ -31,8 +31,8 @@ from math import lcm
 
 from . import lpsolver
 from .mbf import MbfTable, is_monotone
-from .oracle import VerificationReport, verify_reduction
-from .pbf import CapacityForm, MultilinearPoly, QuadraticPoly, from_capacity_form
+from .oracle import ReductionResult, verify_reduction
+from .pbf import CapacityForm, MultilinearPoly, from_capacity_form
 
 PROGRESSIVE_THRESHOLD = 6
 
@@ -70,13 +70,6 @@ class ReductionProblem:
     @property
     def k(self) -> int:
         return self.target.n_vars
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    quadratic: QuadraticPoly
-    l1_distance: Fraction
-    report: VerificationReport
 
 
 def _check_size(problem: ReductionProblem):
@@ -228,14 +221,13 @@ def _result(problem: ReductionProblem, sol: lpsolver.LpSolution) -> ReductionRes
     """The quadratic at an optimal point, with its gaps recomputed by the
     oracle; their total must equal the program objective."""
     quadratic = from_capacity_form(_capacity_from_solution(problem, sol.values)).drop_unused_aux()
-    report = verify_reduction(problem.target, quadratic)
-    distance = report.distance
-    if distance != sol.objective_value:
+    result = ReductionResult(quadratic, verify_reduction(problem.target, quadratic))
+    if result.l1_distance != sol.objective_value:
         raise lpsolver.LpInternalError(
             "oracle gap total disagrees with the program objective; "
             "the tightness block failed to pin the auxiliary minima"
         )
-    return ReductionResult(quadratic, distance, report)
+    return result
 
 
 def _solve(problem: ReductionProblem) -> ReductionResult:
@@ -288,7 +280,7 @@ def nearest_quadratic(problem: ReductionProblem) -> ReductionResult:
         for subset in _candidate_subsets(problem):
             sub = ReductionProblem(problem.target, subset)
             result = _solve(sub)
-            if result.l1_distance == 0:
+            if result.report.passed:
                 return result
     return _solve(problem)
 

@@ -56,7 +56,7 @@ from math import lcm
 
 from . import lpsolver
 from .mbf import AvParams, MbfTable, enumerate_mbfs, min_contribution, partition_coefficient
-from .oracle import verify_reduction
+from .oracle import ReductionResult, verify_reduction
 from .pbf import (
     InvariantError as InvariantError,
     MultilinearPoly,
@@ -96,23 +96,6 @@ class QuarticFunction:
 
     def scaled(self, c) -> "QuarticFunction":
         return QuarticFunction(self.poly.scaled(c))
-
-
-@dataclass(frozen=True)
-class JointQuadratic:
-    """A reduction's answer: the submodular quadratic over x1..x4 and the
-    two auxiliaries z1, z2 (variables 5 and 6),
-
-    h(x, z1, z2) = x_part(x) + (g1 - sum w1_i x_i) z1 + (g2 - sum w2_i x_i) z2
-                 - j12 z1 z2,
-
-    built and checked by ``_answer``.
-    """
-
-    quadratic: QuadraticPoly
-
-    def to_quadratic(self) -> QuadraticPoly:
-        return self.quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +286,25 @@ def _av(values: dict[str, Fraction], tag: str) -> AvParams:
     return AvParams(values[f"g{tag}"], tuple(values[f"w{tag}_{i}"] for i in range(1, 5)))
 
 
-def _answer(values: dict[str, Fraction], x_part: dict[int, Fraction]) -> JointQuadratic:
-    """The joint quadratic of a program point: the given x-part plus the
-    auxiliary columns read off ``values``.  A solver or builder bug shows
-    as an answer that is not a submodular quadratic, and raises."""
-    terms = x_part | {mono: sign * values[name] for name, mono, sign in _AV_COLUMNS}
-    # in ascending monomials: the capacity form and the max-flow graph
-    # follow the order of the terms
-    poly = MultilinearPoly(6, dict(sorted(terms.items())))
+def _answer(values: dict[str, Fraction], x_part: dict[int, Fraction]) -> QuadraticPoly:
+    """The joint quadratic of a program point over x1..x4 and the two
+    auxiliaries z1, z2 (variables 5 and 6),
+
+    h(x, z1, z2) = x_part(x) + (g1 - sum w1_i x_i) z1 + (g2 - sum w2_i x_i) z2
+                 - j12 z1 z2,
+
+    the given x-part plus the auxiliary columns read off ``values``.  A
+    solver or builder bug shows as an answer that is not a submodular
+    quadratic, and raises."""
+    poly = MultilinearPoly(6, x_part | {mono: sign * values[name] for name, mono, sign in _AV_COLUMNS})
     if poly.degree > 2:
         raise lpsolver.LpInternalError("answer failed to come out quadratic")
     if not is_submodular(poly):
         raise lpsolver.LpInternalError("answer is not submodular")
-    return JointQuadratic(QuadraticPoly(poly, 4, 2))
+    return QuadraticPoly(poly, 4, 2)
 
 
-def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> JointQuadratic:
+def _assemble(f: QuarticFunction, values: dict[str, Fraction], on2=BACKWARD_SET) -> QuadraticPoly:
     """The joint quadratic of a states-program point: the x-part is f - W
     at the prescribed states, coefficient by coefficient.  W's coefficients
     are summed in ints, at the auxiliary values times their common
@@ -385,18 +371,20 @@ def _second_onsets() -> list[MbfTable]:
     )
 
 
-def _try_states(f: QuarticFunction, on2: MbfTable, sign_rows: bool = False) -> JointQuadratic | None:
+def _try_states(f: QuarticFunction, on2: MbfTable, sign_rows: bool = False) -> ReductionResult | None:
     sol = lpsolver.solve(_states_lp(f, on2, sign_rows))
     if sol.status != lpsolver.OPTIMAL:
         return None
-    joint = _assemble(f, sol.values, on2)
-    if not verify_reduction(f.poly, joint.to_quadratic()).passed:
+    h = _assemble(f, sol.values, on2)
+    result = ReductionResult(h, verify_reduction(f.poly, h))
+    if not result.report.passed:
         raise lpsolver.LpInternalError("dominance-feasible point failed verification")
-    return joint
+    return result
 
 
-def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
-    """Exact two-auxiliary reduction, oracle-checked.
+def reduce_quartic(f: QuarticFunction) -> ReductionResult:
+    """Exact two-auxiliary reduction, returned with the oracle report that
+    accepted it.
 
     The threshold prescription (|S| >= 3, |S| >= 2) is tried first, as two
     presolves: under sign rows alone, whose point is kept only when the
@@ -419,14 +407,15 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
         raise ValueError("reduce_quartic needs a submodular quartic")
     sol = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False))
     if sol.status == lpsolver.OPTIMAL:
-        joint = _assemble(f, sol.values)
-        if verify_reduction(f.poly, joint.to_quadratic()).passed:
-            return joint
+        h = _assemble(f, sol.values)
+        result = ReductionResult(h, verify_reduction(f.poly, h))
+        if result.report.passed:
+            return result
         # The second presolve adds dominance rows to the first one's rows,
         # so it can only be feasible when the first one is.
-        joint = _try_states(f, BACKWARD_SET, sign_rows=True)
-        if joint is not None:
-            return joint
+        result = _try_states(f, BACKWARD_SET, sign_rows=True)
+        if result is not None:
+            return result
     if decompose_over_generators(f) is None:
         raise NotRepresentable("no non-negative generator decomposition exists")
     # The sweep skips its first on-set, the threshold pair under dominance
@@ -440,32 +429,32 @@ def reduce_quartic(f: QuarticFunction) -> JointQuadratic:
     # >= 0 below.  The moved point therefore meets the sign rows, and with
     # no interaction left the sign rows imply dominance.
     for on2 in _second_onsets()[1:]:
-        joint = _try_states(f, on2)
-        if joint is not None:
-            return joint
+        result = _try_states(f, on2)
+        if result is not None:
+            return result
     raise lpsolver.LpInternalError(
         "decomposable quartic with no two-variable prescription in the search space"
     )
 
 
-def nearest_quartic(f: QuarticFunction) -> tuple[JointQuadratic, Fraction]:
+def nearest_quartic(f: QuarticFunction) -> ReductionResult:
     """L1-nearest joint quadratic: reduce_quartic's answer at distance 0,
-    else the optimum of the nearest program, with the oracle-confirmed
-    distance."""
+    else the optimum of the nearest program, with the oracle report that
+    gives its distance."""
     if not is_submodular(f.poly):
         raise ValueError("nearest_quartic needs a submodular quartic")
     try:
-        return reduce_quartic(f), Fraction(0)
+        return reduce_quartic(f)
     except NotRepresentable:
         pass
     sol = lpsolver.solve(_nearest_lp(f))
     if sol.status != lpsolver.OPTIMAL:
         raise lpsolver.LpInternalError(f"nearest program reported {sol.status}")
-    joint = _answer(sol.values, {mono: sign * sol.values[name] for name, mono, sign in _X_COLUMNS})
-    distance = verify_reduction(f.poly, joint.to_quadratic()).distance
-    if distance == 0:
+    h = _answer(sol.values, {mono: sign * sol.values[name] for name, mono, sign in _X_COLUMNS})
+    result = ReductionResult(h, verify_reduction(f.poly, h))
+    if result.report.passed:
         raise lpsolver.LpInternalError("exact fit slipped past the exact program")
-    return joint, distance
+    return result
 
 
 # ---------------------------------------------------------------------------

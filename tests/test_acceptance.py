@@ -89,8 +89,7 @@ def test_criterion_03_g10_not_representable():
         f, _ = generator_catalog(10, pattern)
         sol = lpsolver.solve(_states_lp(f, BACKWARD_SET, sign_rows=True, dominance=False))
         assert sol.status == lpsolver.INFEASIBLE, pattern
-        joint, distance = nearest_quartic(f)
-        assert distance > 0, pattern
+        assert nearest_quartic(f).l1_distance > 0, pattern
     _report(3, f"exact program (x-part folded away) infeasible and nearest distance > 0 on {len(patterns)} patterns")
 
 
@@ -99,8 +98,7 @@ def test_criterion_04_two_av_sufficiency():
     start = time.monotonic()
     for trial in range(500):
         f = random_generator_combination(rng)
-        joint = reduce_quartic(f)
-        h = joint.to_quadratic()
+        h = reduce_quartic(f).quadratic
         report = verify_reduction(f.poly, h)
         assert report.passed, trial
         EXACT_REDUCTIONS.append((f.poly, h))
@@ -223,7 +221,7 @@ def test_criterion_10_av_count_workload():
     used = []
     for _ in range(cliques):
         f = random_generator_combination(rng, max_parts=3)
-        h = reduce_quartic(f).to_quadratic().drop_unused_aux()
+        h = reduce_quartic(f).quadratic.drop_unused_aux()
         assert verify_reduction(f.poly, h).passed
         used.append(h.n_z)
     baseline = 30 * cliques

@@ -136,6 +136,15 @@ def test_reduce4_g10_nearest(files, capsys):
     assert "3,4 -1 0 -1 -\n" in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--nearest"]])
+def test_reduce4_prints_the_reductions_own_report(files, capsys, monkeypatch, extra):
+    # The report comes with the answer; reduce4 runs no oracle of its own.
+    monkeypatch.setattr(cli, "verify_reduction", lambda *args: pytest.fail("reduce4 ran the oracle again"))
+    code, out = run(capsys, ["reduce4", files["g6"], *extra])
+    assert code == 0
+    assert "labeling f min_h gap z_argmin\n- 0 0 0 -\n" in out
+
+
 def test_verify(files, capsys):
     code, out = run(capsys, ["verify", files["cube"], files["h_cube"], "--avs", "1"])
     assert code == 0

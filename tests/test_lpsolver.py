@@ -611,3 +611,10 @@ def test_revalidation_catches_a_wrong_point(monkeypatch, constraints, objective,
     _skewed_pivot(monkeypatch, delta)
     with pytest.raises(lpsolver.LpInternalError, match=message):
         solve(lp)
+
+
+@pytest.mark.parametrize("rel", ["<", "=", "!="])
+def test_add_constraint_rejects_a_bad_relation(rel):
+    lp = lp_of(["x"], [], {})
+    with pytest.raises(ValueError, match=f"bad relation '{rel}'"):
+        lp.add_constraint({"x": 1}, rel, 0)

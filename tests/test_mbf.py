@@ -7,6 +7,7 @@ import pytest
 from subquad.mbf import (
     DEDEKIND,
     MBF_ENUMERATION_CAP,
+    AvParams,
     MbfTable,
     enumerate_mbfs,
     induced_mbf,
@@ -148,3 +149,18 @@ def test_min_contribution_matches_direct():
         for m in range(16):
             k = partition_coefficient(p, m)
             assert min_contribution(p, m) == min(Fraction(0), k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MbfTable(2, 1 << 4), r"table wider than 2\^k bits"),
+        (lambda: AvParams(1, (1, -1)), "weights must be non-negative"),
+        (lambda: induced_mbf(QuadraticPoly(MultilinearPoly.zero(3), 2, 1), 2), "av must index the auxiliary block"),
+        (lambda: induced_mbf(QuadraticPoly(MultilinearPoly.zero(3), 2, 1), 4), "av must index the auxiliary block"),
+    ],
+    ids=["wide-table", "negative-weight", "av-in-x-block", "av-past-the-end"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -143,3 +143,10 @@ def test_report_matches_per_labeling_loops(n_z):
     if n_z:
         assert ties > 0  # the tie rules were exercised
         assert induced > 0
+
+
+@pytest.mark.parametrize("n_z", [17, 30])
+def test_verify_reduction_refuses_more_than_twenty_variables(n_z):
+    h = QuadraticPoly(MultilinearPoly.zero(4 + n_z), 4, n_z)
+    with pytest.raises(ValueError, match="verify_reduction refuses n > 20"):
+        verify_reduction(MultilinearPoly.zero(4), h)

@@ -550,3 +550,21 @@ def test_mask_indices_round_trip():
         assert indices_of(mask_of(indices)) == indices
         mask = rng.getrandbits(700)
         assert mask_of(indices_of(mask)) == mask
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MultilinearPoly(-1), "n_vars must be non-negative"),
+        (lambda: MultilinearPoly(2, {0b100: 1}), r"term \(3,\) exceeds 2 variables"),
+        (lambda: MultilinearPoly(2, {0b11: 1}).evaluate(0b100), "labeling mask wider than the polynomial"),
+        (lambda: MultilinearPoly.from_values(2, [0, 0, 0]), "need one value per labeling"),
+        (lambda: MultilinearPoly(3, {0b101: 1}).with_vars(2), "cannot shrink below the support"),
+        (lambda: QuadraticPoly(MultilinearPoly.zero(3), 2, 0), "variable blocks must cover the polynomial"),
+        (lambda: QuadraticPoly(MultilinearPoly(3, {0b111: -1}), 3), "quadratic polynomial has degree > 2"),
+    ],
+    ids=["negative-n", "term-too-wide", "mask-too-wide", "value-count", "shrink", "blocks", "cubic"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

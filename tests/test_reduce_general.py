@@ -350,3 +350,9 @@ class TestProgramGolden:
                 overestimate(problem, anchor)
         assert len(programs) == 20
         assert program_digest(programs) == self.GOLDEN
+
+
+@pytest.mark.parametrize("k, table_k", [(3, 2), (2, 3)])
+def test_problem_refuses_a_table_of_another_arity(k, table_k):
+    with pytest.raises(ValueError, match="every table must match the target's variable count"):
+        ReductionProblem(MultilinearPoly.zero(k), (MbfTable.threshold(table_k, 2),))
