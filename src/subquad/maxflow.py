@@ -1,13 +1,13 @@
 """Max-flow/min-cut minimization of submodular quadratics.
 
 The capacity form of a submodular quadratic is literally an s-t network:
-src capacities sit on source arcs, sink capacities on arcs into the sink,
-and pair capacities on internal arcs.  A labeling corresponds to the cut
-whose source side is {i : x_i = 1}, and the cut capacity equals the cost
-minus the constant, so the minimum labeling is read off a maximum flow.
+its one arc map, with node 0 the source and node n + 1 the sink.  A
+labeling corresponds to the cut whose source side is the source and
+{i : x_i = 1}, and the cut capacity equals the cost minus the constant,
+so the minimum labeling is read off a maximum flow.
 
-The flow is exact: ``build_network`` lays the capacity form's integer
-capacities out as arcs, at the form's own scale, and Dinic's algorithm
+The flow is exact: ``build_network`` wraps the capacity form's integer
+arcs, at the form's own scale and without a copy, and Dinic's algorithm
 (BFS level graph, blocking flow by an iterative DFS) runs on those plain
 ints.  Before a result is returned an O(E) certificate is checked on the
 ints -- every arc within its capacity, flow conserved at every internal
@@ -27,7 +27,8 @@ from .pbf import CapacityForm, QuadraticPoly, _require, to_capacity_form
 @dataclass(frozen=True)
 class FlowNetwork:
     """Integer s-t network: source 0, sink n_internal + 1, and each arc's
-    capacity ``arcs[u, v] / scale``.  Only ``build_network`` makes one."""
+    capacity ``arcs[u, v] / scale``.  Only ``build_network`` makes one,
+    around a capacity form's own arc map."""
 
     n_internal: int
     arcs: dict[tuple[int, int], int]
@@ -46,17 +47,9 @@ class CutResult:
 
 def build_network(c: CapacityForm) -> FlowNetwork:
     """Network whose min cut, plus c_empty and over the scale, is the
-    minimum of the quadratic.
-
-    The arcs are the capacity form's ints at its scale: source arcs, sink
-    arcs and pair arcs cannot share a key, and ``CapacityForm`` has already
-    checked every node, edge and capacity.
-    """
-    t = c.n_nodes + 1
-    arcs = {(0, i): v for i, v in c.src.items()}
-    arcs.update(((i, t), v) for i, v in c.sink.items())
-    arcs.update(c.pairs)
-    return FlowNetwork(c.n_nodes, arcs, c.scale)
+    minimum of the quadratic: the capacity form's own arc map and scale,
+    which ``CapacityForm`` has already checked."""
+    return FlowNetwork(c.n_nodes, c.arcs, c.scale)
 
 
 def max_flow(net: FlowNetwork) -> CutResult:

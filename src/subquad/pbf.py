@@ -11,13 +11,14 @@ Subsets are bitmasks: bit i-1 of a mask corresponds to variable i
 (1-based), so the labeling x1=1, x3=1 is mask 0b101.
 
 A submodular quadratic can be rewritten with positive integer capacities
-at one positive integer scale
+at one positive integer scale, one per arc of an s-t network whose node 0
+is the source, nodes 1..n the variables and node n+1 the sink:
 
-    scale*cost(x) = c_empty + sum_i src[i]*(1-x_i) + sum_i sink[i]*x_i
-                            + sum_(i,j) pair[(i,j)]*x_i*(1-x_j)
+    scale*cost(x) = c_empty + sum_(u,v) arcs[(u,v)]*x_u*(1-x_v)
 
-which is the capacity of an s-t cut (node on the source side <=> x=1)
-plus a signed constant, so the min cut runs on these ints as they are.
+with x_source = 1 and x_sink = 0.  That is the capacity of an s-t cut
+(node on the source side <=> x=1) plus a signed constant, so the min cut
+runs on these ints as they are.
 The normal form chosen by ``to_capacity_form`` is documented there; its
 correctness is pinned by round-trip tests.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -338,64 +339,59 @@ class QuadraticPoly:
 
 @dataclass(frozen=True)
 class CapacityForm:
-    """Submodular quadratic as positive integer edge capacities at one scale.
+    """Submodular quadratic as positive integer arc capacities at one scale.
 
-    Node indices run 1..n_x+n_z (originals first).  ``src[i]`` charges
-    x_i = 0, ``sink[i]`` charges x_i = 1, and ``pairs[(i, j)]`` charges
-    x_i = 1, x_j = 0.  Every number counts units of 1/scale: a labeling
-    costs (c_empty + the capacity it cuts) / scale, and ``c_empty`` may
-    take either sign.  Only positive capacities are stored.
+    Node 0 is the source, nodes 1..n_x+n_z the variables (originals first)
+    and n_x+n_z+1 the sink.  ``arcs[(u, v)]`` is cut, and charged, by every
+    labeling that puts u on the source side and v off it; a variable is on
+    the source side when it is 1, the source always is and the sink never
+    is.  Every number counts units of 1/scale: a labeling costs (c_empty +
+    the capacity it cuts) / scale, and ``c_empty`` may take either sign.
+    Only positive capacities are stored.
     """
 
     n_x: int
     n_z: int
     scale: int
     c_empty: int
-    src: dict[int, int]
-    sink: dict[int, int]
-    pairs: dict[tuple[int, int], int]
+    arcs: dict[tuple[int, int], int]
 
     def __post_init__(self):
         if type(self.scale) is not int or self.scale <= 0:
             raise ValueError(f"scale {self.scale!r} is not a positive int")
         if type(self.c_empty) is not int:
             raise ValueError(f"c_empty {self.c_empty!r} is not an int")
-        n = self.n_nodes
-        for i in chain(self.src, self.sink):
-            if not 1 <= i <= n:
-                raise ValueError(f"node {i} out of range")
-        for i, j in self.pairs:
-            if i == j or not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"bad edge ({i}, {j})")
-        for v in chain(self.src.values(), self.sink.values(), self.pairs.values()):
-            if type(v) is not int or v <= 0:
-                raise ValueError(f"capacity {v!r} is not a positive int")
+        sink = self.n_nodes + 1
+        for (u, v), c in self.arcs.items():
+            if u == v or not (0 <= u < sink and 0 < v <= sink) or u == 0 and v == sink:
+                raise ValueError(f"bad arc ({u}, {v})")
+            if type(c) is not int or c <= 0:
+                raise ValueError(f"capacity {c!r} is not a positive int")
 
     @property
     def n_nodes(self) -> int:
         return self.n_x + self.n_z
 
     def value(self, mask: int) -> Fraction:
+        if mask >> self.n_nodes:
+            raise ValueError("labeling mask wider than the polynomial")
+        side = mask << 1 | 1  # bit u set when node u is on the source side
         total = self.c_empty
-        for i, v in self.src.items():
-            if not mask >> (i - 1) & 1:
-                total += v
-        for i, v in self.sink.items():
-            if mask >> (i - 1) & 1:
-                total += v
-        for (i, j), v in self.pairs.items():
-            if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
-                total += v
+        for (u, v), c in self.arcs.items():
+            if side >> u & 1 and not side >> v & 1:
+                total += c
         return Fraction(total, self.scale)
 
 
 def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
-    """Rewrite a submodular quadratic as positive integer capacities.
+    """Rewrite a submodular quadratic as positive integer arc capacities.
 
     Normal form: each bilinear term a*x_i*x_j (a <= 0, i < j) becomes the
-    pair capacity -a on the edge (j -> i) plus the linear correction a*x_j;
-    a resulting linear coefficient v goes to sink[i] when v > 0, and when
-    v < 0 contributes -v to src[i] and v to the constant.
+    capacity -a on the arc (j, i) plus the linear correction a*x_j; a
+    resulting linear coefficient v becomes the arc (i, sink) when v > 0,
+    and when v < 0 the arc (0, i) with capacity -v, adding v to the
+    constant.  Each node's source or sink arc comes before the pair arcs,
+    which follow in term order.
 
     Every coefficient is scaled once by the lcm of the denominators, which
     becomes the form's scale, and the sums stay ints.
@@ -426,30 +422,28 @@ def to_capacity_form(h: QuadraticPoly) -> CapacityForm:
             pairs[(hi, low.bit_length())] = -a
             old = linear.get(hi)
             linear[hi] = a if old is None else old + a
-    src: dict[int, int] = {}
-    sink: dict[int, int] = {}
+    sink = h.n_vars + 1
+    arcs: dict[tuple[int, int], int] = {}
     for i, a in linear.items():
         if a > 0:
-            sink[i] = a
+            arcs[(i, sink)] = a
         elif a:
-            src[i] = -a
+            arcs[(0, i)] = -a
             c_empty += a
-    return CapacityForm(h.n_x, h.n_z, scale, c_empty, src, sink, pairs)
+    arcs.update(pairs)
+    return CapacityForm(h.n_x, h.n_z, scale, c_empty, arcs)
 
 
 def from_capacity_form(c: CapacityForm) -> QuadraticPoly:
     """Expand capacities back into a quadratic polynomial (exact inverse
     on values; composition with to_capacity_form is pointwise identity)."""
+    sink = c.n_nodes + 1
     acc: dict[int, int] = {0: c.c_empty}
-    for i, v in c.src.items():
-        acc[0] += v
-        add_into(acc, 1 << (i - 1), -v)
-    for i, v in c.sink.items():
-        add_into(acc, 1 << (i - 1), v)
-    for (i, j), v in c.pairs.items():
-        mi, mj = 1 << (i - 1), 1 << (j - 1)
-        add_into(acc, mi, v)
-        add_into(acc, mi | mj, -v)
+    for (u, v), cap in c.arcs.items():
+        mu = 1 << (u - 1) if u else 0  # x_source = 1: the empty monomial
+        add_into(acc, mu, cap)
+        if v != sink:  # x_sink = 0 leaves cap*x_u alone
+            add_into(acc, mu | 1 << (v - 1), -cap)
     poly = MultilinearPoly(c.n_nodes, {m: Fraction(v, c.scale) for m, v in acc.items()})
     return QuadraticPoly(poly, c.n_x, c.n_z)
 

@@ -5,9 +5,9 @@ monotone tables m_1..m_M, one auxiliary variable is created per table and
 a single linear program searches over all edge capacities of the joint
 (k + M)-node form:
 
-  * capacity variables reproduce every term of the capacity form: source,
-    sink and ordered-pair capacities on the originals, the auxiliaries,
-    and the original-to-auxiliary couplings;
+  * capacity variables reproduce every arc of the capacity form: source,
+    sink and ordered-pair arcs on the originals, the auxiliaries, and the
+    original-to-auxiliary couplings;
   * for each of the 2^k labelings x a small max-flow block (flow variable
     per auxiliary-network arc plus one source-throughput variable) whose
     feasibility bounds the throughput by the cheapest auxiliary cut, and a
@@ -87,16 +87,18 @@ def _column_count(k: int, M: int) -> int:
 @cache
 def _capacities(k: int, M: int) -> tuple[tuple[str, tuple], ...]:
     """Capacity variables of the joint (k + M)-node form in declaration
-    order, each with what it charges: ("src", v) when node v is off,
-    ("snk", v) when it is on, (u, v) when u is on and v is off.  Nodes
-    k+1..k+M are the auxiliaries; the 2k + k(k-1)/2 capacities among the
-    originals come first."""
+    order, each with its arc (u, v) of the capacity form, charged when u is
+    on the source side and v is off it: (0, v) from the source, (v, sink)
+    into the sink k + M + 1, or (u, v) between two nodes.  Nodes k+1..k+M
+    are the auxiliaries; the 2k + k(k-1)/2 capacities among the originals
+    come first."""
+    t = k + M + 1
     caps = []
     for i in range(1, k + 1):
-        caps += [(f"src_x{i}", ("src", i)), (f"snk_x{i}", ("snk", i))]
+        caps += [(f"src_x{i}", (0, i)), (f"snk_x{i}", (i, t))]
     caps += [(f"xx_{i}_{j}", (i, j)) for i in range(2, k + 1) for j in range(1, i)]
     for l in range(1, M + 1):
-        caps += [(f"src_z{l}", ("src", k + l)), (f"snk_z{l}", ("snk", k + l))]
+        caps += [(f"src_z{l}", (0, k + l)), (f"snk_z{l}", (k + l, t))]
     caps += [(f"xz_{i}_{l}", (i, k + l)) for i in range(1, k + 1) for l in range(1, M + 1)]
     caps += [(f"zz_{l}_{m}", (k + l, k + m)) for l in range(2, M + 1) for m in range(1, l)]
     return tuple(caps)
@@ -105,15 +107,8 @@ def _capacities(k: int, M: int) -> tuple[tuple[str, tuple], ...]:
 def _cut_terms(caps, y: int) -> dict[str, int]:
     """The capacities among caps cut by the joint labeling y (bit v - 1 set
     when node v is on)."""
-
-    def on(v):
-        return y >> (v - 1) & 1
-
-    return {
-        name: 1
-        for name, (u, v) in caps
-        if (not on(v) if u == "src" else on(v) if u == "snk" else on(u) and not on(v))
-    }
+    side = y << 1 | 1  # bit u set when node u is on the source side
+    return {name: 1 for name, (u, v) in caps if side >> u & 1 and not side >> v & 1}
 
 
 def _joint_labeling(problem: ReductionProblem, x: int) -> int:
@@ -161,12 +156,12 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
             lp.add_variable(f"thr_{x}")
 
             for l in range(1, M + 1):
-                cap = {f"fs_{x}_{l}": 1, name["src", k + l]: -1}
+                cap = {f"fs_{x}_{l}": 1, name[0, k + l]: -1}
                 for i in range(1, k + 1):
                     if x >> (i - 1) & 1:
                         cap[name[i, k + l]] = -1
                 lp.add_constraint(cap, "<=", 0)
-                lp.add_constraint({f"ft_{x}_{l}": 1, name["snk", k + l]: -1}, "<=", 0)
+                lp.add_constraint({f"ft_{x}_{l}": 1, name[k + l, k + M + 1]: -1}, "<=", 0)
             for l in range(2, M + 1):
                 for m in range(1, l):
                     lp.add_constraint({f"fz_{x}_{l}_{m}": 1, name[k + l, k + m]: -1}, "<=", 0)
@@ -201,20 +196,9 @@ def _capacity_from_solution(problem: ReductionProblem, values: dict[str, Fractio
     k, M = problem.k, len(problem.mbf_set)
     caps = _capacities(k, M)
     scale = lcm(values["c0"].denominator, *[values[n].denominator for n, _ in caps])
-    src, sink, pairs = {}, {}, {}
-    for n, (u, v) in caps:
-        c = values[n]
-        if not c:
-            continue
-        c = c.numerator * (scale // c.denominator)
-        if u == "src":
-            src[v] = c
-        elif u == "snk":
-            sink[v] = c
-        else:
-            pairs[u, v] = c
+    arcs = {arc: c.numerator * (scale // c.denominator) for n, arc in caps if (c := values[n])}
     c0 = values["c0"]
-    return CapacityForm(k, M, scale, c0.numerator * (scale // c0.denominator), src, sink, pairs)
+    return CapacityForm(k, M, scale, c0.numerator * (scale // c0.denominator), arcs)
 
 
 def _result(problem: ReductionProblem, sol: lpsolver.LpSolution) -> ReductionResult:

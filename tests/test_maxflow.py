@@ -21,8 +21,13 @@ from _gen import random_submodular_quadratic
 
 
 def _form(n, scale=1, c_empty=0, src=None, sink=None, pairs=None):
-    """Capacity form on n original nodes; capacities count units of 1/scale."""
-    return CapacityForm(n, 0, scale, c_empty, src or {}, sink or {}, pairs or {})
+    """Capacity form on n original nodes; capacities count units of 1/scale.
+    ``src[i]`` is the arc (0, i), ``sink[i]`` the arc (i, n + 1), and
+    ``pairs`` holds the arcs between nodes, in that order."""
+    arcs = {(0, i): v for i, v in (src or {}).items()}
+    arcs.update(((i, n + 1), v) for i, v in (sink or {}).items())
+    arcs.update(pairs or {})
+    return CapacityForm(n, 0, scale, c_empty, arcs)
 
 
 def _flow(cf):
@@ -146,19 +151,23 @@ class TestBuildNetwork:
         assert max_flow(build_network(_form(2))).flow_value == 0
 
     def test_single_pair_arc(self):
-        net = build_network(_form(2, pairs={(1, 2): 2}))
-        assert (net.arcs, net.scale) == ({(1, 2): 2}, 1)
+        cf = _form(2, pairs={(1, 2): 2})
+        net = build_network(cf)
+        assert (net.arcs, net.scale, net.sink) == ({(1, 2): 2}, 1, 3)
+        assert net.arcs is cf.arcs
 
     def test_capacities_become_ints_at_one_scale(self):
         # -5/11 - 1/2 x1 + 17/12 x2 - 3/4 x1 x2: to_capacity_form picks the
-        # scale 132 once, and build_network lays its ints out unchanged
+        # scale 132 once, and build_network wraps its arcs without a copy;
+        # each node's source or sink arc comes before the pair arcs
         terms = [((), Fraction(-5, 11)), ((1,), Fraction(-1, 2)), ((2,), Fraction(17, 12)), ((1, 2), Fraction(-3, 4))]
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.from_terms(2, terms), 2))
         assert (cf.scale, cf.c_empty) == (132, -60 - 66)
-        assert (cf.src, cf.sink, cf.pairs) == ({1: 66}, {2: 88}, {(2, 1): 99})
+        assert cf.arcs == {(0, 1): 66, (2, 3): 88, (2, 1): 99}
+        assert list(cf.arcs) == [(0, 1), (2, 3), (2, 1)]
         net = build_network(cf)
         assert net.scale == 132
-        assert net.arcs == {(0, 1): 66, (2, 3): 88, (2, 1): 99}
+        assert net.arcs is cf.arcs
         assert all(type(c) is int for c in net.arcs.values())
 
     def test_min_cut_matches_value_min(self):

@@ -146,12 +146,12 @@ class TestCapacityForm:
 
     def test_zero(self):
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.zero(3), 3))
-        assert cf.c_empty == 0 and not cf.src and not cf.sink and not cf.pairs
+        assert cf.c_empty == 0 and not cf.arcs
         assert from_capacity_form(cf).poly == MultilinearPoly.zero(3)
 
     def test_single_unary(self):
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.from_terms(1, [((1,), 1)]), 1))
-        assert (cf.scale, cf.sink) == (1, {1: 1}) and not cf.src and not cf.pairs
+        assert (cf.scale, cf.arcs) == (1, {(1, 2): 1})
 
     def test_constant_only(self):
         cf = to_capacity_form(QuadraticPoly(MultilinearPoly.from_terms(1, [((), 5)]), 1))
@@ -167,42 +167,48 @@ class TestCapacityForm:
         for _ in range(40):
             h = random_submodular_quadratic(rng, rng.randint(1, 12))
             cf = to_capacity_form(h)
-            assert all(v > 0 for v in cf.src.values())
-            assert all(v > 0 for v in cf.sink.values())
-            assert all(v > 0 for v in cf.pairs.values())
+            assert all(v > 0 for v in cf.arcs.values())
             back = from_capacity_form(cf)
             assert back.poly == h.poly
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="node 3 out of range"):
-            CapacityForm(1, 1, 1, 0, {3: 1}, {}, {})
-        with pytest.raises(ValueError, match="node 0 out of range"):
-            CapacityForm(2, 0, 1, 0, {}, {0: 1}, {})
-        with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
-            CapacityForm(2, 0, 1, 0, {}, {}, {(2, 2): 1})
-        with pytest.raises(ValueError, match=r"bad edge \(1, 3\)"):
-            CapacityForm(2, 0, 1, 0, {}, {}, {(1, 3): 1})
+        # one x and one auxiliary node: source 0, sink 3.  Self-loops, arcs
+        # into the source or out of the sink, the direct source-to-sink arc
+        # and nodes past the sink are refused.
+        for arc in (2, 2), (0, 0), (1, 0), (3, 1), (3, 0), (0, 3), (1, 4), (-1, 1):
+            with pytest.raises(ValueError, match=re.escape(f"bad arc {arc}")):
+                CapacityForm(1, 1, 1, 0, {arc: 1})
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), "1", 0, -1, True])
     def test_refuses_anything_but_positive_int_capacities(self, bad):
-        for caps in ({1: bad}, {}, {}), ({}, {1: bad}, {}), ({}, {}, {(1, 2): bad}):
+        for arc in (0, 1), (1, 3), (1, 2):
             with pytest.raises(ValueError, match="is not a positive int"):
-                CapacityForm(2, 0, 1, 0, *caps)
+                CapacityForm(2, 0, 1, 0, {arc: bad})
 
     @pytest.mark.parametrize("scale", [0, -3, Fraction(2), "6"])
     def test_refuses_a_scale_that_is_not_a_positive_int(self, scale):
         with pytest.raises(ValueError, match="scale .* is not a positive int"):
-            CapacityForm(1, 0, scale, 0, {1: 1}, {}, {})
+            CapacityForm(1, 0, scale, 0, {(0, 1): 1})
 
     def test_refuses_a_c_empty_that_is_not_an_int(self):
         with pytest.raises(ValueError, match="c_empty .* is not an int"):
-            CapacityForm(1, 0, 2, Fraction(-1, 2), {}, {}, {})
+            CapacityForm(1, 0, 2, Fraction(-1, 2), {})
 
     def test_keeps_the_dicts_it_is_given(self):
-        src, sink, pairs = {1: 2}, {2: 3}, {(2, 1): 1}
-        cf = CapacityForm(2, 0, 6, -5, src, sink, pairs)
-        assert cf.src is src and cf.sink is sink and cf.pairs is pairs
+        # x1 = 0 cuts (0, 1), x2 = 1 cuts (2, 3), and x2 = 1, x1 = 0 cuts (2, 1)
+        arcs = {(0, 1): 2, (2, 3): 3, (2, 1): 1}
+        cf = CapacityForm(2, 0, 6, -5, arcs)
+        assert cf.arcs is arcs
         assert [cf.value(m) for m in range(4)] == [Fraction(-3, 6), Fraction(-5, 6), Fraction(1, 6), Fraction(-2, 6)]
+
+    @pytest.mark.parametrize("mask", [0b100, 0b1000, -1])
+    def test_value_refuses_a_mask_wider_than_its_nodes(self, mask):
+        # bit n would put the sink on the source side
+        cf = CapacityForm(2, 0, 1, 0, {(0, 1): 1, (2, 3): 1})
+        with pytest.raises(ValueError, match="labeling mask wider than the polynomial"):
+            cf.value(mask)
+        with pytest.raises(ValueError, match="labeling mask wider than the polynomial"):
+            from_capacity_form(cf).poly.evaluate(mask)
 
     @settings(max_examples=300)
     @given(submodular_quadratics())
@@ -214,8 +220,7 @@ class TestCapacityForm:
     def test_int_form_property(self, h):
         cf = to_capacity_form(h)
         assert all(type(v) is int for v in (cf.n_x, cf.n_z, cf.scale, cf.c_empty))
-        for caps in (cf.src, cf.sink, cf.pairs):
-            assert all(type(v) is int and v > 0 for v in caps.values())
+        assert all(type(v) is int and v > 0 for v in cf.arcs.values())
         assert cf.scale == lcm(*[c.denominator for c in h.poly.terms.values()])
         assert [cf.value(x) for x in range(1 << h.n_vars)] == [h.poly.evaluate(x) for x in range(1 << h.n_vars)]
 
@@ -285,14 +290,11 @@ class TestCapacityFormGolden:
     def test_matches_the_fraction_reference(self, h):
         cf = to_capacity_form(h)
         c_empty, src, sink, pairs = _reference_capacity_form(h)
-
-        def rational(caps):
-            return {k: Fraction(v, cf.scale) for k, v in caps.items()}
-
+        arcs = {(0, i): v for i, v in src.items()}
+        arcs.update(((i, h.n_vars + 1), v) for i, v in sink.items())
+        arcs.update(pairs)
         assert Fraction(cf.c_empty, cf.scale) == c_empty
-        assert rational(cf.src) == src
-        assert rational(cf.sink) == sink
-        assert rational(cf.pairs) == pairs
+        assert {arc: Fraction(v, cf.scale) for arc, v in cf.arcs.items()} == arcs
 
     @settings(max_examples=200)
     @given(mixed_quadratics(), st.data())

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subquad.mbf import MbfTable, enumerate_mbfs, induced_mbf, is_monotone, prune_mbf_set
 from subquad.pbf import MultilinearPoly, format_polynomial, format_rational
@@ -11,7 +13,10 @@ from subquad.reduce_general import (
     MAX_COLUMNS,
     ReductionProblem,
     _candidate_subsets,
+    _capacities,
+    _capacity_from_solution,
     _column_count,
+    _cut_terms,
     _solve,
     build_reduction_lp,
     nearest_quadratic,
@@ -199,6 +204,36 @@ class TestSoundness:
                 if prev is not None:
                     assert result.l1_distance <= prev
                 prev = result.l1_distance
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def program_points(draw):
+    """A problem on k <= 3 variables with M <= 2 threshold tables, and a
+    point of its program: a constant c0 and a non-negative value for every
+    capacity."""
+    k = draw(st.integers(1, 3))
+    ranks = draw(st.lists(st.integers(0, k + 1), max_size=2, unique=True))
+    problem = ReductionProblem(MultilinearPoly.zero(k), tuple(MbfTable.threshold(k, r) for r in ranks))
+    values = {"c0": draw(fractions)}
+    for name, _ in _capacities(k, len(ranks)):
+        values[name] = abs(draw(fractions))
+    return problem, values
+
+
+class TestArcRule:
+    @settings(max_examples=150)
+    @given(program_points())
+    def test_value_rows_and_read_back_agree(self, point):
+        # the program's value row for y is c0 plus the capacities _cut_terms
+        # names; the capacity form read back must charge y the same
+        problem, values = point
+        caps = _capacities(problem.k, len(problem.mbf_set))
+        cf = _capacity_from_solution(problem, values)
+        for y in range(1 << cf.n_nodes):
+            assert cf.value(y) == values["c0"] + sum(values[n] for n in _cut_terms(caps, y))
 
 
 class TestProgressiveSubsets:
