@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 
 from . import lpsolver
@@ -111,11 +111,11 @@ def _cut_terms(caps, y: int) -> dict[str, int]:
     return {name: 1 for name, (u, v) in caps if side >> u & 1 and not side >> v & 1}
 
 
-def _joint_labeling(problem: ReductionProblem, x: int) -> int:
+def _joint_labeling(k: int, mbf_set: tuple[MbfTable, ...], x: int) -> int:
     """x with every auxiliary at its prescribed state: x | m(x) << k."""
     y = x
-    for l, t in enumerate(problem.mbf_set):
-        y |= t.value(x) << (problem.k + l)
+    for l, t in enumerate(mbf_set):
+        y |= t.value(x) << (k + l)
     return y
 
 
@@ -131,10 +131,28 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
             f"refusing a {columns}-column program for k={k} with {M} tables "
             f"(limit {MAX_COLUMNS}); use {advice}"
         )
+    template, value_rows = _template(k, problem.mbf_set)
+    lp = template.copy()
+    rows = lp.constraints
+    for i, gx in zip(value_rows, problem.target.evaluate_all()):
+        for r in (i, i + 1):
+            rows[r] = lpsolver.Constraint(rows[r].coeffs, rows[r].rel, gx)
+    return lp
+
+
+@lru_cache(maxsize=32)
+def _template(k: int, mbf_set: tuple[MbfTable, ...]) -> tuple[lpsolver.LinearProgram, tuple[int, ...]]:
+    """build_reduction_lp's program with every right-hand side 0, and the
+    position of each labeling's >= value row (its <= row follows).  Only
+    those rows' right-hand sides, g(x), depend on the target, so one
+    template serves every target over these tables; it is only copied,
+    never mutated."""
+    M = len(mbf_set)
     caps = _capacities(k, M)
     name = {charge: n for n, charge in caps}
     aux_caps = caps[2 * k + k * (k - 1) // 2 :]
     lp = lpsolver.LinearProgram()
+    value_rows: list[int] = []
     lp.add_variable("c0", lower=None)
     for n, _ in caps:
         lp.add_variable(n)
@@ -144,7 +162,7 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
         gap = f"gap_{x}"
         lp.add_variable(gap)
         objective[gap] = Fraction(1)
-        y = _joint_labeling(problem, x)
+        y = _joint_labeling(k, mbf_set, x)
         value = {"c0": 1} | _cut_terms(caps, y)
         if M:
             for l in range(1, M + 1):
@@ -182,12 +200,12 @@ def build_reduction_lp(problem: ReductionProblem) -> lpsolver.LinearProgram:
             # exceed the throughput, hence equals the minimum cut.
             lp.add_constraint(_cut_terms(aux_caps, y) | {f"thr_{x}": -1}, "<=", 0)
 
-        gx = problem.target.evaluate(x)
-        lp.add_constraint(value | {gap: 1}, ">=", gx)
-        lp.add_constraint(value | {gap: -1}, "<=", gx)
+        value_rows.append(len(lp.constraints))
+        lp.add_constraint(value | {gap: 1}, ">=", 0)
+        lp.add_constraint(value | {gap: -1}, "<=", 0)
 
     lp.set_objective(objective)
-    return lp
+    return lp, tuple(value_rows)
 
 
 def _capacity_from_solution(problem: ReductionProblem, values: dict[str, Fraction]) -> CapacityForm:
@@ -277,7 +295,7 @@ def overestimate(problem: ReductionProblem, anchor: int) -> ReductionResult:
     lp = build_reduction_lp(problem)
     caps = _capacities(problem.k, len(problem.mbf_set))
     for x in range(1 << problem.k):
-        value = {"c0": 1} | _cut_terms(caps, _joint_labeling(problem, x))
+        value = {"c0": 1} | _cut_terms(caps, _joint_labeling(problem.k, problem.mbf_set, x))
         gx = problem.target.evaluate(x)
         lp.add_constraint(value, ">=", gx)
         if x == anchor:
